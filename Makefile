@@ -57,11 +57,11 @@ bench:
 bench-figures:
 	$(GO) test -bench=Fig -benchtime=1x -run=^$$ .
 
-# Hot-path benchmarks (LTC core + pipeline), 10 samples each, recorded so
+# Hot-path benchmarks (LTC core, read path + pipeline), 10 samples each, recorded so
 # benchcmp can diff them against a baseline.
 bench-core:
-	$(GO) test -run=^$$ -bench='InsertLTC|InsertBatchLTC|TopKLTC|Pipeline' \
-		-count=10 . | tee results/bench_head.txt
+	$(GO) test -run=^$$ -bench='InsertLTC|InsertBatchLTC|TopKLTC|MergeShardedCheckpoints|Pipeline' \
+		-benchmem -count=10 . | tee results/bench_head.txt
 
 # Compare the current hot-path numbers against the recorded PR 2 baseline.
 # Uses benchstat when installed (go install

@@ -303,10 +303,10 @@ const (
 	fetchUnreachable
 )
 
-// replicaFetch is one replica's round outcome for one partition.
+// replicaFetch is one replica's round outcome for one partition. The
+// decoded tracker is what the round merges: each image is decoded once.
 type replicaFetch struct {
 	class   fetchClass
-	img     []byte
 	tracker *sigstream.Sharded
 	err     error
 }
@@ -353,7 +353,7 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) r
 			g.mu.Unlock()
 			return replicaFetch{class: fetchCorrupt, err: derr}
 		}
-		return replicaFetch{class: fetchOK, img: img, tracker: tracker}
+		return replicaFetch{class: fetchOK, tracker: tracker}
 	}
 	return replicaFetch{class: fetchUnreachable,
 		err: fmt.Errorf("unreachable after %d attempts: %w", p.Attempts, lastErr)}
@@ -406,8 +406,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	}
 
 	parts := make([]PartitionReport, g.topo.Partitions())
-	images := make([][]byte, 0, g.topo.Partitions())
-	mergedSite := make([]string, g.topo.Partitions())
+	trackers := make([]*sigstream.Sharded, 0, g.topo.Partitions())
 	quorum := g.topo.Quorum()
 	allQuorum := true
 	for p := 0; p < g.topo.Partitions(); p++ {
@@ -450,8 +449,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 			allQuorum = false
 		}
 		if best.tracker != nil {
-			images = append(images, best.img)
-			mergedSite[p] = pr.MergedFrom
+			trackers = append(trackers, best.tracker)
 		}
 		parts[p] = pr
 	}
@@ -519,9 +517,11 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		return rep
 	}
 	var merged *sigstream.Sharded
-	if len(images) > 0 {
+	if len(trackers) > 0 {
+		// The round owns the trackers fetchReplica decoded, so they merge
+		// in place without a second decode.
 		var err error
-		merged, err = sigstream.MergeShardedCheckpoints(images...)
+		merged, err = sigstream.MergeSharded(trackers...)
 		if err != nil {
 			rep.Reason = "merge failed: " + err.Error()
 			return rep

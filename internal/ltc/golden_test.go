@@ -9,6 +9,12 @@ package ltc
 // Lemire multiply-shift reduction are all required to be bit-identical
 // refactors, so these fixtures must keep passing unchanged.
 //
+// Each case also pins merged_sha256: the checkpoint image after merging a
+// peer tracker of the same configuration, built over an overlapping
+// stream, into the case's tracker. Those hashes were generated with the
+// map-and-sort Merge kept in merge_ref_test.go, so the allocation-free
+// merge kernel is held to its exact output.
+//
 // Regenerate (only for a deliberate, documented behavior change) with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/ltc -run TestGoldenCore
@@ -70,6 +76,7 @@ type goldenCase struct {
 	TopK       []goldenEntry `json:"topk"`
 	Queries    []goldenEntry `json:"queries"`
 	Checkpoint string        `json:"checkpoint_sha256"`
+	Merged     string        `json:"merged_sha256"`
 }
 
 type goldenEntry struct {
@@ -98,9 +105,9 @@ func goldenConfigs() []goldenCase {
 	}
 }
 
-// runGolden replays the case's stream and fills in the captured outputs.
-func runGolden(gc *goldenCase) {
-	l := New(Options{
+// goldenTracker builds the case's tracker, empty.
+func goldenTracker(gc *goldenCase) *LTC {
+	return New(Options{
 		MemoryBytes:                gc.Mem,
 		BucketWidth:                gc.Width,
 		Weights:                    stream.Weights{Alpha: gc.Alpha, Beta: gc.Beta},
@@ -109,17 +116,39 @@ func runGolden(gc *goldenCase) {
 		DecayFactor:                gc.Decay,
 		Seed:                       gc.Seed,
 	})
-	items := goldenStream(uint64(gc.Seed)*0x517cc1b727220a95+1, gc.N)
-	per := gc.N / gc.Periods
+}
+
+// replayGolden inserts items into l, closing a period every per arrivals
+// and, when closeRagged is set, after a final partial period.
+func replayGolden(l *LTC, items []stream.Item, per int, closeRagged bool) {
 	for i, it := range items {
 		l.Insert(it)
 		if (i+1)%per == 0 {
 			l.EndPeriod()
 		}
 	}
-	if gc.N%per != 0 {
+	if closeRagged && len(items)%per != 0 {
 		l.EndPeriod()
 	}
+}
+
+// goldenPair replays the first cut arrivals of the case's stream into its
+// tracker (closing the ragged final period only when cut covers the whole
+// stream, so a shorter cut leaves appearance flags pending), and a second
+// stream of half the length — the same hot and warm sets, a different
+// draw — into a peer of the same configuration.
+func goldenPair(gc *goldenCase, cut int) (l, peer *LTC) {
+	per := gc.N / gc.Periods
+	l = goldenTracker(gc)
+	replayGolden(l, goldenStream(uint64(gc.Seed)*0x517cc1b727220a95+1, gc.N)[:cut], per, cut == gc.N)
+	peer = goldenTracker(gc)
+	replayGolden(peer, goldenStream(uint64(gc.Seed)*0x517cc1b727220a95+2, gc.N/2), per, true)
+	return l, peer
+}
+
+// runGolden replays the case's stream and fills in the captured outputs.
+func runGolden(gc *goldenCase) {
+	l, peer := goldenPair(gc, gc.N)
 
 	gc.Occupancy = l.Occupancy()
 	gc.TopK = nil
@@ -131,12 +160,21 @@ func runGolden(gc *goldenCase) {
 		e, ok := l.Query(probe)
 		gc.Queries = append(gc.Queries, goldenEntry{Item: probe, F: e.Frequency, P: e.Persistency, Sig: e.Significance, Ok: ok})
 	}
+	gc.Checkpoint = imageHash(l)
+	if err := l.Merge(peer); err != nil {
+		panic(err)
+	}
+	gc.Merged = imageHash(l)
+}
+
+// imageHash is the hex SHA-256 of l's checkpoint image.
+func imageHash(l *LTC) string {
 	img, err := l.MarshalBinary()
 	if err != nil {
 		panic(err)
 	}
 	sum := sha256.Sum256(img)
-	gc.Checkpoint = hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:])
 }
 
 func goldenPath() string { return filepath.Join("testdata", "golden_core.json") }
@@ -186,6 +224,9 @@ func TestGoldenCore(t *testing.T) {
 			}
 			if gc.Checkpoint != w.Checkpoint {
 				t.Errorf("checkpoint image hash: got %s, want %s", gc.Checkpoint, w.Checkpoint)
+			}
+			if gc.Merged != w.Merged {
+				t.Errorf("merged image hash: got %s, want %s", gc.Merged, w.Merged)
 			}
 		})
 	}

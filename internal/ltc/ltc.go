@@ -510,23 +510,25 @@ func (l *LTC) EndPeriod() {
 	l.itemsInPer = 0
 }
 
-// entry converts cell i to a reported Entry. Flags that have been set but
-// not yet consumed by the sweep each represent one real period of
-// appearance, so they are included in the reported persistency.
+// entry converts cell i to a reported Entry.
 func (l *LTC) entry(i int) stream.Entry {
-	p := uint64(l.counters[i])
-	if l.flags[i]&flagEven != 0 {
-		p++
-	}
-	if l.flags[i]&flagOdd != 0 {
-		p++
-	}
+	p := l.persistency(i)
 	return stream.Entry{
 		Item:         l.ids[i],
 		Frequency:    uint64(l.freqs[i]),
 		Persistency:  p,
 		Significance: l.opts.Weights.Significance(uint64(l.freqs[i]), p),
 	}
+}
+
+// persistency reports cell i's persistency. Flags that have been set but
+// not yet consumed by the sweep each represent one real period of
+// appearance, so they are included. They are added as bits (flagEven is
+// bit 0, flagOdd bit 1) rather than branched on, since ranked reads and
+// merges visit every cell.
+func (l *LTC) persistency(i int) uint64 {
+	f := l.flags[i]
+	return uint64(l.counters[i]) + uint64(f&flagEven) + uint64((f&flagOdd)>>1)
 }
 
 // Query reports the estimate for item, if tracked.
@@ -542,20 +544,32 @@ func (l *LTC) Query(item stream.Item) (stream.Entry, bool) {
 }
 
 // TopK reports the k tracked items with the largest significance. k ≤ 0
-// yields an empty result.
+// yields an empty result. It selects rather than sorts: one buffer of
+// min(k, occupancy) entries, cells offered straight from the lanes.
 func (l *LTC) TopK(k int) []stream.Entry {
 	if k <= 0 {
 		return nil
 	}
-	// Size by occupancy: the candidate slice holds every occupied cell, so
-	// capacity k would regrow log₂(occupied/k) times on a large table.
-	es := make([]stream.Entry, 0, l.occupied)
+	sel := stream.NewSelection(k, l.occupied)
+	l.OfferTo(&sel)
+	return sel.Ranked()
+}
+
+// OfferTo offers every occupied cell to sel, building an Entry only for
+// the cells sel admits; Sharded offers all its shards to one selection.
+//
+//sig:noalloc
+func (l *LTC) OfferTo(sel *stream.Selection) {
 	for i, f := range l.flags {
-		if f&flagOccupied != 0 {
-			es = append(es, l.entry(i))
+		if f&flagOccupied == 0 {
+			continue
+		}
+		p := l.persistency(i)
+		sig := l.opts.Weights.Significance(uint64(l.freqs[i]), p)
+		if sel.Admits(sig, l.ids[i]) {
+			sel.Offer(stream.Entry{Item: l.ids[i], Frequency: uint64(l.freqs[i]), Persistency: p, Significance: sig})
 		}
 	}
-	return stream.TopKFromEntries(es, k)
 }
 
 // Stats returns the tracker's observability snapshot: geometry, occupancy
@@ -581,8 +595,8 @@ func (l *LTC) Stats() stream.Stats {
 // maintained on every fill and clear.
 func (l *LTC) Occupancy() int { return l.occupied }
 
-// countOccupied rescans the flags lane; the cold paths that rebuild the
-// table wholesale (restore, merge) use it to re-derive the O(1) counter.
+// countOccupied rescans the flags lane; restore, which rebuilds the table
+// wholesale, uses it to re-derive the O(1) counter.
 func (l *LTC) countOccupied() int {
 	n := 0
 	for _, f := range l.flags {

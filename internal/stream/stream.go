@@ -10,7 +10,7 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is a 64-bit stream item identifier (e.g. a source IP, a user ID, a
@@ -186,26 +186,156 @@ func (s *Stream) ReplayAll(ts ...Tracker) {
 }
 
 // SortEntries orders entries by significance descending, breaking ties by
-// item ID ascending so results are deterministic.
+// item ID ascending so results are deterministic. Every ranked read in the
+// module reports in this order.
 func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Significance != es[j].Significance {
-			return es[i].Significance > es[j].Significance
+	if len(es) > smallSort {
+		slices.SortFunc(es, compareEntries)
+		return
+	}
+	// Insertion sort with the comparison inlined: the per-bucket merge
+	// ranks at most 2·d entries, where a generic sort's indirect
+	// comparison calls cost more than the moves.
+	for i := 1; i < len(es); i++ {
+		e := es[i]
+		j := i
+		for ; j > 0 && ranksBefore(e.Significance, e.Item, &es[j-1]); j-- {
+			es[j] = es[j-1]
 		}
-		return es[i].Item < es[j].Item
-	})
+		es[j] = e
+	}
+}
+
+// smallSort is the longest input SortEntries insertion-sorts.
+const smallSort = 16
+
+// compareEntries is SortEntries' order as a three-way comparison.
+func compareEntries(a, b Entry) int {
+	switch {
+	case ranksBefore(a.Significance, a.Item, &b):
+		return -1
+	case ranksBefore(b.Significance, b.Item, &a):
+		return 1
+	}
+	return 0
+}
+
+// ranksBefore reports whether an entry with significance sig and item
+// ranks strictly ahead of e in SortEntries order.
+func ranksBefore(sig float64, item Item, e *Entry) bool {
+	if sig != e.Significance {
+		return sig > e.Significance
+	}
+	return item < e.Item
+}
+
+// Selection is a bounded top-k selection in SortEntries order. It keeps
+// the k highest-ranked entries offered so far in a heap whose root is the
+// lowest-ranked of them, so an entry that does not place costs one
+// comparison and one that does costs O(log k). Selecting k of m offered
+// entries therefore costs m comparisons plus O(log k) per entry that
+// displaces a survivor — O(k log(m/k)) of them in expectation when the
+// offers arrive in no particular order — and Ranked's O(k log k) sort,
+// instead of sorting all m.
+type Selection struct {
+	k    int
+	heap []Entry // heap[0] ranks last among the survivors
+}
+
+// NewSelection returns an empty selection of the k highest-ranked entries
+// with room for min(k, hint) of them, hint being the number of entries
+// the caller will offer: a large k over a small input allocates only what
+// the input can fill, and Offer never grows the buffer while the offers
+// stay within hint. k ≤ 0 selects nothing.
+func NewSelection(k, hint int) Selection {
+	if k < 0 {
+		k = 0
+	}
+	return Selection{k: k, heap: make([]Entry, 0, max(min(k, hint), 0))}
+}
+
+// Admits reports whether an entry with significance sig and item would
+// enter the selection, so a caller can skip building an Entry that
+// cannot place.
+func (s *Selection) Admits(sig float64, item Item) bool {
+	if len(s.heap) < s.k {
+		return true
+	}
+	return len(s.heap) > 0 && ranksBefore(sig, item, &s.heap[0])
+}
+
+// Offer considers e for the selection: it enters if fewer than k entries
+// are held or it ranks ahead of the lowest-ranked survivor, which it then
+// displaces.
+//
+//sig:noalloc
+func (s *Selection) Offer(e Entry) {
+	if !s.Admits(e.Significance, e.Item) {
+		return
+	}
+	h := s.heap
+	if len(h) < s.k {
+		h = append(h, e)
+		s.heap = h
+		// Sift up: move each parent that ranks ahead of e down into the
+		// hole, so no parent ranks ahead of its children.
+		i := len(h) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if !ranksBefore(h[p].Significance, h[p].Item, &e) {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = e
+		return
+	}
+	// e displaces the root. Sift down: move the lower-ranked child up
+	// into the hole while it ranks below e.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && ranksBefore(h[c].Significance, h[c].Item, &h[r]) {
+			c = r
+		}
+		if !ranksBefore(e.Significance, e.Item, &h[c]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// Ranked returns the selected entries in SortEntries order. It sorts the
+// selection's own buffer, so the selection must not be offered to again.
+func (s *Selection) Ranked() []Entry {
+	SortEntries(s.heap)
+	return s.heap
 }
 
 // TopKFromEntries returns the k largest-significance entries from es
 // (sorted, deterministic). k ≤ 0 yields an empty result. It is a helper
-// for trackers that materialize all candidates and then rank them.
+// for trackers that materialize all candidates and then rank them. It
+// selects in place: the result is a prefix of es, whose order beyond it is
+// unspecified afterwards, and nothing is allocated.
 func TopKFromEntries(es []Entry, k int) []Entry {
 	if k <= 0 {
 		return nil
 	}
-	SortEntries(es)
-	if k < len(es) {
-		es = es[:k]
+	if k >= len(es) {
+		SortEntries(es)
+		return es
 	}
-	return es
+	// The heap fills es from the front. Each offer writes at most up to
+	// the index being read, so no unread entry is overwritten.
+	s := Selection{k: k, heap: es[:0]}
+	for _, e := range es {
+		s.Offer(e)
+	}
+	return s.Ranked()
 }

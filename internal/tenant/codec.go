@@ -34,6 +34,15 @@ var ErrBadEnvelope = errors.New("tenant: bad spill envelope")
 // envelopeNames lists a key map's names in sorted order, so identical
 // state encodes to identical bytes.
 func envelopeNames(keys *sigstream.KeyMap) []string {
+	names := keyNames(keys)
+	sort.Strings(names)
+	return names
+}
+
+// keyNames copies a key map's names, unsorted. A caller holding the lock
+// that guards keys copies under it and sorts after releasing it, since the
+// sort dominates on large key maps.
+func keyNames(keys *sigstream.KeyMap) []string {
 	if keys == nil {
 		return nil
 	}
@@ -42,7 +51,6 @@ func envelopeNames(keys *sigstream.KeyMap) []string {
 		names = append(names, k)
 		return true
 	})
-	sort.Strings(names)
 	return names
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -893,9 +894,12 @@ func (t *Tenant) saveRLocked() (string, error) {
 		// file — it never materializes in memory.
 		writeImage = t.tracker.EncodeTo
 	}
+	// Copy the names under keysMu and sort them after: TopK name
+	// resolution and ingest wait on keysMu, and the sort is the slow part.
 	t.keysMu.Lock()
-	names := envelopeNames(t.keys)
+	names := keyNames(t.keys)
 	t.keysMu.Unlock()
+	sort.Strings(names)
 	t.saveMu.Lock()
 	defer t.saveMu.Unlock()
 	if !t.seqInit {

@@ -1,8 +1,13 @@
 package sigstream
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
+
+	"sigstream/internal/gen"
+	"sigstream/internal/stream"
 )
 
 func TestShardedBasicCounting(t *testing.T) {
@@ -40,6 +45,53 @@ func TestShardedTopKIsGlobal(t *testing.T) {
 		if e.Item != Item(100-i) {
 			t.Fatalf("rank %d: item %d, want %d", i, e.Item, 100-i)
 		}
+	}
+}
+
+// TestShardedTopKMatchesFullSort checks that offering every shard to one
+// selection ranks exactly like sorting all shards' cells together and
+// cutting to k. Each shard's cells come from its own TopK at k =
+// occupancy, which the ltc package checks against a full sort.
+func TestShardedTopKMatchesFullSort(t *testing.T) {
+	items := gen.NetworkLike(1<<16, 2)
+	for _, n := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			s := NewSharded(Config{MemoryBytes: 32 << 10, Weights: Balanced}, n)
+			feedBatched(s, items.Items, items.ItemsPerPeriod())
+			var all []stream.Entry
+			for i := range s.shards {
+				l := s.shards[i].l
+				all = append(all, l.TopK(l.Occupancy())...)
+			}
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].Significance != all[j].Significance {
+					return all[i].Significance > all[j].Significance
+				}
+				return all[i].Item < all[j].Item
+			})
+			ties := 0
+			for i := 1; i < len(all); i++ {
+				if all[i].Significance == all[i-1].Significance {
+					ties++
+				}
+			}
+			if ties == 0 {
+				t.Fatal("no significance ties: the item tie-break goes untested")
+			}
+			occ := len(all)
+			for _, k := range []int{0, 1, 10, occ / 3, occ - 1, occ, occ + 1, 1 << 20} {
+				got := s.TopK(k)
+				want := all[:min(max(k, 0), occ)]
+				if len(got) != len(want) {
+					t.Fatalf("TopK(%d) returned %d entries, want %d", k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != publicEntry(want[i]) {
+						t.Fatalf("TopK(%d) entry %d = %+v, want %+v", k, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
