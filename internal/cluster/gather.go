@@ -301,6 +301,7 @@ const (
 	fetchEmpty
 	fetchCorrupt
 	fetchUnreachable
+	fetchCanceled // the caller's context ended the fetch; no fault of the site
 )
 
 // replicaFetch is one replica's round outcome for one partition. The
@@ -314,21 +315,23 @@ type replicaFetch struct {
 // fetchReplica pulls and validates one partition checkpoint from one
 // site, retrying transient failures under the configured policy.
 // Deterministic failures (a corrupt image) surface immediately: re-asking
-// the same question gets the same broken answer.
+// the same question gets the same broken answer. Once ctx is done the
+// fetch stops, backoff included, and reports fetchCanceled: the caller
+// gave up, so the outcome says nothing about the site.
 func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) replicaFetch {
 	p := g.cfg.Retry.withDefaults()
 	delay := p.BaseDelay
 	var lastErr error
 	for attempt := 0; attempt < p.Attempts; attempt++ {
 		if attempt > 0 {
-			p.sleep(time.Duration(p.rand() * float64(delay)))
+			p.sleep(ctx, time.Duration(p.rand()*float64(delay)))
 			delay *= 2
 			if delay > p.MaxDelay {
 				delay = p.MaxDelay
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return replicaFetch{class: fetchUnreachable, err: err}
+			return replicaFetch{class: fetchCanceled, err: err}
 		}
 		g.mu.Lock()
 		g.fetches++
@@ -338,6 +341,9 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) r
 		cancel()
 		if errors.Is(err, ErrNoPartition) {
 			return replicaFetch{class: fetchEmpty}
+		}
+		if err != nil && ctx.Err() != nil {
+			return replicaFetch{class: fetchCanceled, err: ctx.Err()}
 		}
 		if err != nil {
 			g.mu.Lock()
@@ -363,7 +369,10 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) r
 // partition from its replicas, and commit a merged view if every
 // partition reached quorum. It never returns an error — failure detail
 // lives in the report, and an uncommitted round leaves the previous view
-// serving. Concurrent Round calls serialize.
+// serving. A round whose ctx ends first stops asking sites and does not
+// commit; the cancellation trips no breaker, skips no site and degrades
+// no site's health, since it says nothing about the sites. Concurrent
+// Round calls serialize.
 func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	g.roundMu.Lock()
 	defer g.roundMu.Unlock()
@@ -374,6 +383,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	// Breaker gate: decide per site whether to fetch at all this round,
 	// probing readiness where a cooldown has expired.
 	allowed := make(map[string]bool, len(siteNames))
+	var canceled error
 	for _, site := range siteNames {
 		g.mu.Lock()
 		ok, probe := g.sites[site].b.Allow(now)
@@ -382,6 +392,10 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 			pctx, cancel := context.WithTimeout(ctx, g.timeout)
 			perr := g.cfg.Clients[site].Ready(pctx)
 			cancel()
+			if perr != nil && ctx.Err() != nil {
+				canceled = ctx.Err()
+				break
+			}
 			g.mu.Lock()
 			g.sites[site].b.Probe(perr == nil, now)
 			ok, _ = g.sites[site].b.Allow(now)
@@ -415,6 +429,8 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		var best replicaFetch
 		for _, site := range g.topo.ReplicaSites(p) {
 			switch {
+			case canceled != nil:
+				continue
 			case !allowed[site]:
 				skip(site, ns, "breaker open")
 				continue
@@ -424,6 +440,8 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 			}
 			res := g.fetchReplica(ctx, g.cfg.Clients[site], ns)
 			switch res.class {
+			case fetchCanceled:
+				canceled = res.err
 			case fetchUnreachable:
 				down[site] = true
 				hardFail[site] = true
@@ -503,6 +521,10 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		g.mu.Unlock()
 	}()
 
+	if canceled != nil {
+		rep.Reason = "round canceled: " + canceled.Error()
+		return rep
+	}
 	if !allQuorum {
 		rep.Reason = fmt.Sprintf("quorum loss: %d/%d partitions reported ≥%d replicas",
 			rep.QuorumPartitions(), len(parts), quorum)
@@ -511,7 +533,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 
 	// Every partition reached quorum: merge and commit. The fault point
 	// models the coordinator dying (panic) or failing (error) between
-	// Collect and Commit; either way the previous view must survive.
+	// gather and commit; either way the previous view must survive.
 	if err := fault.Inject(fault.CoordCommit, 0); err != nil {
 		rep.Reason = "commit aborted: " + err.Error()
 		return rep

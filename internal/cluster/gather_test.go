@@ -22,6 +22,7 @@ type fakeSite struct {
 	down       bool            // every call fails (node dead)
 	corrupt    map[string]bool // namespaces served as garbage
 	failFirst  int             // fail this many fetches, then recover
+	stall      bool            // fetches hang until their context ends
 	fetchCalls int
 	readyCalls int
 }
@@ -47,10 +48,19 @@ func (f *fakeSite) tracker(ns string) *sigstream.Sharded {
 
 func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.fetchCalls++
+	stall := f.stall
+	f.mu.Unlock()
+	if stall {
+		<-ctx.Done()
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if f.down {
-		return nil, errors.New("connection refused")
+		return nil, fmt.Errorf("connection refused (fetch %d)", f.fetchCalls)
 	}
 	if f.failFirst > 0 {
 		f.failFirst--
@@ -69,6 +79,9 @@ func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, erro
 func (f *fakeSite) FetchNames(ctx context.Context, ns string, k int) (map[uint64]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if f.down {
 		return nil, errors.New("connection refused")
 	}
@@ -79,6 +92,9 @@ func (f *fakeSite) Ready(ctx context.Context) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.readyCalls++
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if f.down {
 		return errors.New("connection refused")
 	}
@@ -99,13 +115,22 @@ func (f *fakeSite) calls() int {
 
 // fastPolicy retries without real sleeping or jitter.
 func fastPolicy() RetryPolicy {
+	p, _ := recordedPolicy(2, time.Millisecond, time.Millisecond)
+	return p
+}
+
+// recordedPolicy returns a policy whose sleeps are captured instead of
+// slept and whose jitter source is pinned to 1, so the exact un-jittered
+// backoff shape is asserted without wall-clock time.
+func recordedPolicy(attempts int, base, max time.Duration) (RetryPolicy, *[]time.Duration) {
+	var slept []time.Duration
 	return RetryPolicy{
-		Attempts:  2,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  time.Millisecond,
-		sleep:     func(time.Duration) {},
+		Attempts:  attempts,
+		BaseDelay: base,
+		MaxDelay:  max,
+		sleep:     func(_ context.Context, d time.Duration) { slept = append(slept, d) },
 		rand:      func() float64 { return 1 },
-	}
+	}, &slept
 }
 
 // testCluster wires a topology, fake sites, and a gatherer with a
@@ -117,7 +142,7 @@ type testCluster struct {
 	clock time.Time
 }
 
-func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfig) *testCluster {
+func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfig, retry RetryPolicy) *testCluster {
 	t.Helper()
 	sites := testSites()
 	topo, err := NewTopology(sites, partitions, replicas)
@@ -134,7 +159,7 @@ func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfi
 	g, err := NewGatherer(GatherConfig{
 		Topology: topo,
 		Clients:  clients,
-		Retry:    fastPolicy(),
+		Retry:    retry,
 		Breaker:  breaker,
 		now:      func() time.Time { return tc.clock },
 	})
@@ -145,17 +170,29 @@ func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfi
 	return tc
 }
 
-// load inserts items 1..n on every replica of each item's partition and
-// closes one period everywhere.
+// load inserts items 1..n once and closes one period everywhere.
 func (tc *testCluster) load(n int) {
 	for i := 1; i <= n; i++ {
-		item := uint64(i)
-		p := tc.topo.Partition(item)
-		ns := PartitionNamespace(p)
-		for _, site := range tc.topo.ReplicaSites(p) {
-			tc.fakes[site].tracker(ns).Insert(item)
+		tc.insert(uint64(i), 1)
+	}
+	tc.endPeriod()
+}
+
+// insert records times arrivals of item on every replica of its
+// partition, as a replicating producer does.
+func (tc *testCluster) insert(item uint64, times int) {
+	p := tc.topo.Partition(item)
+	ns := PartitionNamespace(p)
+	for _, site := range tc.topo.ReplicaSites(p) {
+		tr := tc.fakes[site].tracker(ns)
+		for i := 0; i < times; i++ {
+			tr.Insert(item)
 		}
 	}
+}
+
+// endPeriod closes one period on every partition tracker of every site.
+func (tc *testCluster) endPeriod() {
 	for _, f := range tc.fakes {
 		f.mu.Lock()
 		for _, tr := range f.parts {
@@ -166,7 +203,7 @@ func (tc *testCluster) load(n int) {
 }
 
 func TestGatherRoundCommitsHealthyCluster(t *testing.T) {
-	tc := newTestCluster(t, 8, 2, BreakerConfig{})
+	tc := newTestCluster(t, 8, 2, BreakerConfig{}, fastPolicy())
 	tc.load(100)
 	rep := tc.g.Round(context.Background())
 	if !rep.Committed {
@@ -199,7 +236,7 @@ func TestGatherRoundCommitsHealthyCluster(t *testing.T) {
 }
 
 func TestGatherSurvivesSingleNodeDeath(t *testing.T) {
-	tc := newTestCluster(t, 8, 2, BreakerConfig{})
+	tc := newTestCluster(t, 8, 2, BreakerConfig{}, fastPolicy())
 	tc.load(100)
 	for _, site := range tc.topo.Sites() {
 		tc.fakes[site].setDown(true)
@@ -230,7 +267,7 @@ func TestGatherSurvivesSingleNodeDeath(t *testing.T) {
 }
 
 func TestGatherQuorumLossServesStaleView(t *testing.T) {
-	tc := newTestCluster(t, 4, 1, BreakerConfig{Trip: 100})
+	tc := newTestCluster(t, 4, 1, BreakerConfig{Trip: 100}, fastPolicy())
 	tc.load(50)
 	if rep := tc.g.Round(context.Background()); !rep.Committed {
 		t.Fatalf("healthy round did not commit: %+v", rep)
@@ -258,7 +295,7 @@ func TestGatherQuorumLossServesStaleView(t *testing.T) {
 }
 
 func TestGatherCorruptReplicaNotRetriedOtherReplicaMerged(t *testing.T) {
-	tc := newTestCluster(t, 1, 2, BreakerConfig{})
+	tc := newTestCluster(t, 1, 2, BreakerConfig{}, fastPolicy())
 	tc.load(20)
 	reps := tc.topo.ReplicaSites(0)
 	first := tc.fakes[reps[0]]
@@ -281,7 +318,7 @@ func TestGatherCorruptReplicaNotRetriedOtherReplicaMerged(t *testing.T) {
 }
 
 func TestGatherTransientFailureRetriedWithinRound(t *testing.T) {
-	tc := newTestCluster(t, 1, 1, BreakerConfig{})
+	tc := newTestCluster(t, 1, 1, BreakerConfig{}, fastPolicy())
 	tc.load(10)
 	site := tc.topo.ReplicaSites(0)[0]
 	tc.fakes[site].failFirst = 1 // first fetch times out, retry succeeds
@@ -299,7 +336,7 @@ func TestGatherTransientFailureRetriedWithinRound(t *testing.T) {
 }
 
 func TestGatherBreakerTripsThenRecoversViaReadyProbe(t *testing.T) {
-	tc := newTestCluster(t, 8, 2, BreakerConfig{Trip: 2, Cooldown: 10 * time.Second})
+	tc := newTestCluster(t, 8, 2, BreakerConfig{Trip: 2, Cooldown: 10 * time.Second}, fastPolicy())
 	tc.load(100)
 	dead := tc.topo.Sites()[1]
 	tc.fakes[dead].setDown(true)
@@ -351,13 +388,13 @@ func TestGatherBreakerTripsThenRecoversViaReadyProbe(t *testing.T) {
 }
 
 func TestGatherCommitFaultServesPreviousViewThenRecovers(t *testing.T) {
-	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
 	tc.load(50)
 	if rep := tc.g.Round(context.Background()); !rep.Committed {
 		t.Fatalf("healthy round did not commit: %+v", rep)
 	}
 
-	// Erroring hook: the round aborts between Collect and Commit.
+	// Erroring hook: the round aborts between gather and commit.
 	deactivate := fault.Activate(fault.CoordCommit, func(int) error {
 		return errors.New("injected commit failure")
 	})
@@ -401,7 +438,7 @@ func TestGatherCommitFaultServesPreviousViewThenRecovers(t *testing.T) {
 }
 
 func TestGatherPrefersFreshestReplica(t *testing.T) {
-	tc := newTestCluster(t, 1, 2, BreakerConfig{})
+	tc := newTestCluster(t, 1, 2, BreakerConfig{}, fastPolicy())
 	reps := tc.topo.ReplicaSites(0)
 	ns := PartitionNamespace(0)
 	// Replica 0 is a restarted node that missed a period of traffic;
@@ -434,7 +471,7 @@ func TestGatherPrefersFreshestReplica(t *testing.T) {
 }
 
 func TestGatherEmptyClusterCommitsEmptyView(t *testing.T) {
-	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
 	rep := tc.g.Round(context.Background())
 	if !rep.Committed {
 		t.Fatalf("empty-cluster round did not commit: %s", rep.Reason)
@@ -451,7 +488,7 @@ func TestGatherEmptyClusterCommitsEmptyView(t *testing.T) {
 }
 
 func TestGatherResolvesNames(t *testing.T) {
-	tc := newTestCluster(t, 2, 2, BreakerConfig{})
+	tc := newTestCluster(t, 2, 2, BreakerConfig{}, fastPolicy())
 	item := uint64(42)
 	p := tc.topo.Partition(item)
 	ns := PartitionNamespace(p)
@@ -482,7 +519,7 @@ func TestNewGathererValidation(t *testing.T) {
 }
 
 func TestGatherStatsSnapshot(t *testing.T) {
-	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
 	tc.load(30)
 	tc.g.Round(context.Background())
 	tc.clock = tc.clock.Add(7 * time.Second)
@@ -513,5 +550,81 @@ func TestGatherReportString(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", rep.Sites[0].Health) != "healthy" {
 		t.Fatal("health class does not render")
+	}
+}
+
+// TestCoordinatorBeforeFirstCommit: a gatherer that has not committed a
+// round serves no view.
+func TestCoordinatorBeforeFirstCommit(t *testing.T) {
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
+	if entries, _, ok := tc.g.TopK(5); ok || entries != nil {
+		t.Fatalf("TopK before any round = %v, %v; want no view", entries, ok)
+	}
+	if _, ok := tc.g.ViewInfo(); ok {
+		t.Fatal("ViewInfo reported a view before any round")
+	}
+}
+
+func TestLastReportEmptyBeforeFirstRound(t *testing.T) {
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
+	if _, ok := tc.g.LastRound(); ok {
+		t.Fatal("LastRound reported a round before one ran")
+	}
+}
+
+// TestRoundMergesSites runs one round per period: each round merges the
+// sites' latest partition images, so the view accumulates frequency and
+// persistency across periods and advances one epoch per round.
+func TestRoundMergesSites(t *testing.T) {
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
+	for p := 0; p < 3; p++ {
+		tc.load(20)
+		if rep := tc.g.Round(context.Background()); !rep.Committed {
+			t.Fatalf("round %d did not commit: %s", p, rep.Reason)
+		}
+	}
+	entries, info, ok := tc.g.TopK(100)
+	if !ok || info.Epoch != 3 {
+		t.Fatalf("view info %+v ok=%v, want epoch 3", info, ok)
+	}
+	if len(entries) != 20 {
+		t.Fatalf("view holds %d items, want 20", len(entries))
+	}
+	for _, e := range entries {
+		if e.Frequency != 3 || e.Persistency != 3 {
+			t.Fatalf("item %d = %+v, want frequency and persistency 3", e.Item, e)
+		}
+	}
+}
+
+// TestGlobalRankingAcrossSites checks that the view ranks items across
+// partitions hosted on different sites: one partition's runner-up
+// outranks the other partition's leader, which no partition-local
+// ranking can show.
+func TestGlobalRankingAcrossSites(t *testing.T) {
+	tc := newTestCluster(t, 2, 2, BreakerConfig{}, fastPolicy())
+	lead, second, other := uint64(1), uint64(0), uint64(0)
+	for item := uint64(2); second == 0 || other == 0; item++ {
+		switch {
+		case tc.topo.Partition(item) != tc.topo.Partition(lead):
+			if other == 0 {
+				other = item
+			}
+		case second == 0:
+			second = item
+		}
+	}
+	for p := 0; p < 2; p++ {
+		tc.insert(lead, 50)   // its partition's #1
+		tc.insert(second, 40) // its partition's #2, globally #3
+		tc.insert(other, 45)  // the other partition's #1, globally #2
+		tc.endPeriod()
+	}
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("round did not commit: %s", rep.Reason)
+	}
+	top, _, _ := tc.g.TopK(3)
+	if len(top) != 3 || top[0].Item != lead || top[1].Item != other || top[2].Item != second {
+		t.Fatalf("global ranking %+v, want items %d, %d, %d", top, lead, other, second)
 	}
 }

@@ -1,23 +1,10 @@
-// Fault-tolerant collection: in a real deployment the coordinator pulls
-// checkpoints over a network from sites that crash, restart, and stall.
-// CollectFrom retries one site with capped exponential backoff, and
-// GatherRound assembles a degraded-but-committed global view from
-// whichever sites answered — a cluster-wide ranking that is one site
-// short beats no ranking at all.
-
 package cluster
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
-	"sort"
 	"time"
 )
-
-// Fetcher produces one site's checkpoint: an HTTP GET against a
-// sigserver's /v1/checkpoint, a file read from a drop directory, or an
-// in-process (*Site).Export.
-type Fetcher func() ([]byte, error)
 
 // RetryPolicy bounds the capped exponential backoff applied when a
 // site's checkpoint fetch fails. The zero value selects the defaults.
@@ -35,8 +22,9 @@ type RetryPolicy struct {
 	// bounded wait per attempt instead of an unbounded one.
 	MaxDelay time.Duration
 
-	// sleep replaces time.Sleep in tests.
-	sleep func(time.Duration)
+	// sleep waits out one backoff, returning early once ctx is done;
+	// tests replace it to record the schedule.
+	sleep func(ctx context.Context, d time.Duration)
 	// rand replaces the jitter source in tests. It must return a value in
 	// [0, 1]; the sleep before each retry is rand()·delay (full jitter), so
 	// a source pinned to 1 recovers the deterministic un-jittered schedule.
@@ -54,7 +42,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.MaxDelay = time.Second
 	}
 	if p.sleep == nil {
-		p.sleep = time.Sleep
+		p.sleep = sleepCtx
 	}
 	if p.rand == nil {
 		p.rand = rand.Float64
@@ -62,75 +50,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// CollectFrom fetches one site's checkpoint and collects it into the
-// current round, retrying transient fetch failures under policy. Only the
-// fetch is retried: once a checkpoint is in hand, a Collect failure (a
-// duplicate site or a corrupt/mismatched image) is deterministic and
-// surfaces immediately. After the attempts are exhausted the last fetch
-// error is returned, wrapped with the site and attempt count.
-func (c *Coordinator) CollectFrom(site string, fetch Fetcher, policy RetryPolicy) error {
-	p := policy.withDefaults()
-	var lastErr error
-	delay := p.BaseDelay
-	for attempt := 0; attempt < p.Attempts; attempt++ {
-		if attempt > 0 {
-			p.sleep(time.Duration(p.rand() * float64(delay)))
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
-		}
-		img, err := fetch()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return c.Collect(site, img)
+// sleepCtx waits for d or until ctx is done, whichever comes first.
+func sleepCtx(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
 	}
-	return fmt.Errorf("cluster: site %s unreachable after %d attempts: %w",
-		site, p.Attempts, lastErr)
-}
-
-// Report describes one gather round: which sites made it into the
-// committed global view and which were skipped, with the error that
-// excluded each.
-type Report struct {
-	// Epoch is the epoch number the round committed.
-	Epoch int
-	// Merged lists the sites whose checkpoints were merged, in collection
-	// order.
-	Merged []string
-	// Skipped maps each excluded site to the error that excluded it.
-	Skipped map[string]error
-}
-
-// Degraded reports whether the round committed without every site.
-func (r Report) Degraded() bool { return len(r.Skipped) > 0 }
-
-// GatherRound runs one collection cycle over remote fetchers, tolerating
-// dead sites: every fetch is retried under policy, a site that still
-// fails is recorded in the report instead of aborting the round, and the
-// round always commits so the global view advances with whatever arrived.
-// When every site fails the commit is empty and the previous global view
-// stays queryable — stale answers from the last good round, never a blank
-// coordinator. Sites are collected in name order, so a round's outcome is
-// deterministic for a given set of fetcher behaviours.
-func (c *Coordinator) GatherRound(fetchers map[string]Fetcher, policy RetryPolicy) Report {
-	rep := Report{Skipped: map[string]error{}}
-	names := make([]string, 0, len(fetchers))
-	for name := range fetchers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := c.CollectFrom(name, fetchers[name], policy); err != nil {
-			rep.Skipped[name] = err
-			continue
-		}
-		rep.Merged = append(rep.Merged, name)
-	}
-	c.Commit()
-	rep.Epoch = c.Epoch()
-	c.setLastReport(rep)
-	return rep
 }

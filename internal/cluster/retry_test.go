@@ -1,315 +1,320 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"strings"
 	"testing"
 	"time"
 )
 
-// flakyFetcher fails the first failures calls, then serves img.
-func flakyFetcher(img []byte, failures int) Fetcher {
-	calls := 0
-	return func() ([]byte, error) {
-		calls++
-		if calls <= failures {
-			return nil, fmt.Errorf("connection refused (call %d)", calls)
-		}
-		return img, nil
-	}
-}
-
-// recordedPolicy returns a policy whose sleeps are captured instead of
-// slept and whose jitter source is pinned to 1, so the exact un-jittered
-// backoff shape is asserted without wall-clock time.
-func recordedPolicy(attempts int, base, max time.Duration) (RetryPolicy, *[]time.Duration) {
-	var slept []time.Duration
-	return RetryPolicy{
-		Attempts:  attempts,
-		BaseDelay: base,
-		MaxDelay:  max,
-		sleep:     func(d time.Duration) { slept = append(slept, d) },
-		rand:      func() float64 { return 1 },
-	}, &slept
-}
-
-func TestCollectFromRetriesTransientFailure(t *testing.T) {
-	s := NewSite("rack-a", cfg())
-	s.Insert(7)
-	s.EndPeriod()
-	img, err := s.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoordinator(cfg())
-	policy, slept := recordedPolicy(4, 50*time.Millisecond, time.Second)
-	if err := co.CollectFrom("rack-a", flakyFetcher(img, 2), policy); err != nil {
-		t.Fatalf("CollectFrom with 2 transient failures: %v", err)
-	}
-	if co.Pending() != 1 {
-		t.Fatalf("Pending = %d after a successful retried collect, want 1", co.Pending())
-	}
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
-	if len(*slept) != len(want) || (*slept)[0] != want[0] || (*slept)[1] != want[1] {
-		t.Fatalf("backoff %v, want %v (exponential from base)", *slept, want)
-	}
-}
-
-func TestCollectFromExhaustsAttemptsWithCappedBackoff(t *testing.T) {
-	co := NewCoordinator(cfg())
-	policy, slept := recordedPolicy(5, 400*time.Millisecond, time.Second)
-	dead := errors.New("site is on fire")
-	err := co.CollectFrom("rack-dead", func() ([]byte, error) { return nil, dead }, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
-	}
-	if !errors.Is(err, dead) {
-		t.Fatalf("error %v does not wrap the fetch failure", err)
-	}
-	if !strings.Contains(err.Error(), "after 5 attempts") {
-		t.Fatalf("error %q does not report the attempt count", err)
-	}
-	// 400 doubles to 800, then the 1s cap holds.
-	want := []time.Duration{400 * time.Millisecond, 800 * time.Millisecond, time.Second, time.Second}
-	if len(*slept) != len(want) {
-		t.Fatalf("slept %v, want %v", *slept, want)
-	}
-	for i := range want {
-		if (*slept)[i] != want[i] {
-			t.Fatalf("backoff step %d = %v, want %v (cap at MaxDelay)", i, (*slept)[i], want[i])
+// siteReport returns site's entry in rep.
+func siteReport(t *testing.T, rep RoundReport, site string) SiteReport {
+	t.Helper()
+	for _, sr := range rep.Sites {
+		if sr.Site == site {
+			return sr
 		}
 	}
-	if co.Pending() != 0 {
-		t.Fatalf("Pending = %d after a failed collect, want 0", co.Pending())
-	}
+	t.Fatalf("no report for site %s: %+v", site, rep.Sites)
+	return SiteReport{}
 }
 
-func TestCollectFromDoesNotRetryCorruptCheckpoint(t *testing.T) {
-	co := NewCoordinator(cfg())
-	calls := 0
-	policy, slept := recordedPolicy(4, time.Millisecond, time.Second)
-	err := co.CollectFrom("rack-a", func() ([]byte, error) {
-		calls++
-		return []byte("not a checkpoint"), nil
-	}, policy)
-	if err == nil {
-		t.Fatal("corrupt checkpoint accepted")
-	}
-	if calls != 1 || len(*slept) != 0 {
-		t.Fatalf("corrupt checkpoint fetched %d times with %d sleeps; deterministic failures must not retry",
-			calls, len(*slept))
-	}
-}
-
-func TestCollectFromBackoffAppliesFullJitter(t *testing.T) {
-	co := NewCoordinator(cfg())
-	var slept []time.Duration
-	policy := RetryPolicy{
-		Attempts:  4,
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  time.Second,
-		sleep:     func(d time.Duration) { slept = append(slept, d) },
-		rand:      func() float64 { return 0.25 },
-	}
-	err := co.CollectFrom("rack-flap", func() ([]byte, error) {
-		return nil, errors.New("connection reset")
-	}, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
-	}
-	// Full jitter scales each capped-exponential ceiling (100ms, 200ms,
-	// 400ms) by the rand draw, here pinned to 0.25.
-	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
+func assertSlept(t *testing.T, slept, want []time.Duration) {
+	t.Helper()
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}
 	for i := range want {
 		if slept[i] != want[i] {
-			t.Fatalf("jittered backoff step %d = %v, want %v (rand·ceiling)", i, slept[i], want[i])
+			t.Fatalf("backoff step %d = %v, want %v (slept %v)", i, slept[i], want[i], slept)
 		}
 	}
 }
 
-func TestCollectFromDefaultJitterStaysUnderCeiling(t *testing.T) {
-	co := NewCoordinator(cfg())
-	var slept []time.Duration
-	policy := RetryPolicy{
-		Attempts:  5,
-		BaseDelay: 80 * time.Millisecond,
-		MaxDelay:  200 * time.Millisecond,
-		sleep:     func(d time.Duration) { slept = append(slept, d) },
-		// rand deliberately nil: the default source must be installed.
+// deadReplicaCluster is a one-partition, one-replica cluster whose only
+// site is down, so every round runs the full retry schedule.
+func deadReplicaCluster(t *testing.T, retry RetryPolicy) (*testCluster, string) {
+	t.Helper()
+	tc := newTestCluster(t, 1, 1, BreakerConfig{}, retry)
+	site := tc.topo.ReplicaSites(0)[0]
+	tc.fakes[site].setDown(true)
+	return tc, site
+}
+
+// TestCollectFromRetriesTransientFailure: collecting a partition from a
+// replica that times out twice retries it to success, backing off
+// exponentially from BaseDelay.
+func TestCollectFromRetriesTransientFailure(t *testing.T) {
+	policy, slept := recordedPolicy(4, 50*time.Millisecond, time.Second)
+	tc := newTestCluster(t, 1, 1, BreakerConfig{}, policy)
+	tc.load(10)
+	site := tc.topo.ReplicaSites(0)[0]
+	tc.fakes[site].failFirst = 2 // two fetches time out, the third succeeds
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round did not commit after 2 transient failures: %s", rep.Reason)
 	}
-	err := co.CollectFrom("rack-flap", func() ([]byte, error) {
-		return nil, errors.New("connection reset")
-	}, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
+	if got := tc.fakes[site].calls(); got != 3 {
+		t.Fatalf("site fetched %d times, want 3", got)
 	}
+	assertSlept(t, *slept, []time.Duration{50 * time.Millisecond, 100 * time.Millisecond})
+}
+
+func TestGatherExhaustsAttemptsWithCappedBackoff(t *testing.T) {
+	policy, slept := recordedPolicy(5, 400*time.Millisecond, time.Second)
+	tc, site := deadReplicaCluster(t, policy)
+	rep := tc.g.Round(context.Background())
+	if rep.Committed {
+		t.Fatal("round committed without its only replica")
+	}
+	if got := tc.fakes[site].calls(); got != 5 {
+		t.Fatalf("dead site fetched %d times, want 5", got)
+	}
+	// The skip names the attempt count and carries the last fetch error.
+	skips := siteReport(t, rep, site).Skips
+	if len(skips) != 1 || !strings.Contains(skips[0], "unreachable after 5 attempts") ||
+		!strings.Contains(skips[0], "connection refused (fetch 5)") {
+		t.Fatalf("skips %q, want one reason naming 5 attempts and the last error", skips)
+	}
+	// 400 doubles to 800, then the 1s cap holds.
+	assertSlept(t, *slept, []time.Duration{400 * time.Millisecond, 800 * time.Millisecond, time.Second, time.Second})
+}
+
+func TestGatherBackoffAppliesFullJitter(t *testing.T) {
+	policy, slept := recordedPolicy(4, 100*time.Millisecond, time.Second)
+	policy.rand = func() float64 { return 0.25 }
+	tc, _ := deadReplicaCluster(t, policy)
+	tc.g.Round(context.Background())
+	// Full jitter scales each capped-exponential ceiling (100ms, 200ms,
+	// 400ms) by the rand draw, here pinned to 0.25.
+	assertSlept(t, *slept, []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond})
+}
+
+func TestGatherDefaultJitterStaysUnderCeiling(t *testing.T) {
+	policy, slept := recordedPolicy(5, 80*time.Millisecond, 200*time.Millisecond)
+	policy.rand = nil // the default source must be installed
+	tc, _ := deadReplicaCluster(t, policy)
+	tc.g.Round(context.Background())
 	ceilings := []time.Duration{80 * time.Millisecond, 160 * time.Millisecond,
 		200 * time.Millisecond, 200 * time.Millisecond}
-	if len(slept) != len(ceilings) {
-		t.Fatalf("slept %v, want %d jittered waits", slept, len(ceilings))
+	if len(*slept) != len(ceilings) {
+		t.Fatalf("slept %v, want %d jittered waits", *slept, len(ceilings))
 	}
-	for i, d := range slept {
+	for i, d := range *slept {
 		if d < 0 || d > ceilings[i] {
 			t.Fatalf("jittered wait %d = %v outside [0, %v]", i, d, ceilings[i])
 		}
 	}
 }
 
-// siteFetcher closes the site's period and exports it, the in-process
-// equivalent of GET /v1/checkpoint at a period boundary.
-func siteFetcher(s *Site) Fetcher {
-	return func() ([]byte, error) {
-		s.EndPeriod()
-		return s.Export()
+// TestCollectFromDoesNotRetryCorruptCheckpoint: a corrupt checkpoint is a
+// deterministic failure, fetched once and never backed off from.
+func TestCollectFromDoesNotRetryCorruptCheckpoint(t *testing.T) {
+	policy, slept := recordedPolicy(4, time.Millisecond, time.Second)
+	tc := newTestCluster(t, 1, 1, BreakerConfig{}, policy)
+	tc.load(10)
+	site := tc.topo.ReplicaSites(0)[0]
+	tc.fakes[site].corrupt[PartitionNamespace(0)] = true
+	rep := tc.g.Round(context.Background())
+	if rep.Committed {
+		t.Fatal("round committed a corrupt checkpoint")
+	}
+	if got := tc.fakes[site].calls(); got != 1 || len(*slept) != 0 {
+		t.Fatalf("corrupt checkpoint fetched %d times with %d sleeps, want 1 and 0 (deterministic failures must not retry)",
+			got, len(*slept))
+	}
+	skips := siteReport(t, rep, site).Skips
+	if len(skips) != 1 || !strings.Contains(skips[0], "corrupt checkpoint") {
+		t.Fatalf("skips %q, want one corrupt-checkpoint reason", skips)
 	}
 }
 
-func TestGatherRoundMergesDegradedView(t *testing.T) {
-	a, b := NewSite("rack-a", cfg()), NewSite("rack-b", cfg())
-	for i := 0; i < 10; i++ {
-		a.Insert(1)
-		b.Insert(2)
-	}
-	co := NewCoordinator(cfg())
-	policy, _ := recordedPolicy(2, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{
-		"rack-a":    siteFetcher(a),
-		"rack-b":    siteFetcher(b),
-		"rack-dead": func() ([]byte, error) { return nil, errors.New("no route to host") },
-	}, policy)
-
-	if !rep.Degraded() {
-		t.Fatal("round with a dead site reported as complete")
-	}
-	if len(rep.Merged) != 2 || rep.Merged[0] != "rack-a" || rep.Merged[1] != "rack-b" {
-		t.Fatalf("Merged = %v, want the two live sites in name order", rep.Merged)
-	}
-	if err, ok := rep.Skipped["rack-dead"]; !ok || err == nil {
-		t.Fatalf("Skipped = %v, want rack-dead with its error", rep.Skipped)
-	}
-	if rep.Epoch != 1 {
-		t.Fatalf("Epoch = %d, want 1 (degraded rounds still commit)", rep.Epoch)
-	}
-	// The degraded view carries both live sites' items.
-	for _, item := range []uint64{1, 2} {
-		if e, ok := co.Query(item); !ok || e.Frequency != 10 {
-			t.Fatalf("item %d: entry %+v ok=%v, want frequency 10", item, e, ok)
-		}
-	}
-}
-
-// TestGatherRoundMixedFailureModes exercises one round with every failure
-// class at once: a site that times out twice before answering (retried to
-// success), a site serving a corrupt checkpoint (deterministic, never
-// retried), a dead site (retries exhausted), and a healthy site. The
-// committed view must contain exactly the sites that produced a valid
-// checkpoint.
+// TestGatherRoundMixedFailureModes runs one round over four kinds of
+// replica at once: one that times out twice before answering (retried to
+// success), one serving a corrupt checkpoint (deterministic, never
+// retried), one on a dead site (retries exhausted), and a healthy one.
+// The committed view must hold exactly the valid images.
 func TestGatherRoundMixedFailureModes(t *testing.T) {
-	healthy, slow := NewSite("rack-ok", cfg()), NewSite("rack-slow", cfg())
-	for i := 0; i < 10; i++ {
-		healthy.Insert(1)
-		slow.Insert(2)
-	}
-	okImg, err := healthy.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowImg, err := slow.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slowCalls, corruptCalls := 0, 0
-	co := NewCoordinator(cfg())
 	policy, slept := recordedPolicy(3, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{
-		"rack-ok": func() ([]byte, error) { return okImg, nil },
-		"rack-slow": func() ([]byte, error) {
-			slowCalls++
-			if slowCalls <= 2 {
-				return nil, errors.New("i/o timeout")
+	tc := newTestCluster(t, 2, 2, BreakerConfig{}, policy)
+	tc.load(40)
+	// Two partitions at R=2 over three sites: one site holds a replica of
+	// each partition, the other two hold one replica each.
+	r0, r1 := tc.topo.ReplicaSites(0), tc.topo.ReplicaSites(1)
+	var shared, dead, corrupt string
+	for _, a := range r0 {
+		for _, b := range r1 {
+			if a == b {
+				shared = a
 			}
-			return slowImg, nil
-		},
-		"rack-corrupt": func() ([]byte, error) {
-			corruptCalls++
-			return []byte("garbage"), nil
-		},
-		"rack-dead": func() ([]byte, error) { return nil, errors.New("no route to host") },
-	}, policy)
-
-	if slowCalls != 3 {
-		t.Fatalf("timing-out site fetched %d times, want 3 (transient failures retry)", slowCalls)
-	}
-	if corruptCalls != 1 {
-		t.Fatalf("corrupt site fetched %d times, want 1 (deterministic failures must not retry)", corruptCalls)
-	}
-	if len(rep.Merged) != 2 || rep.Merged[0] != "rack-ok" || rep.Merged[1] != "rack-slow" {
-		t.Fatalf("Merged = %v, want exactly the two sites with valid checkpoints", rep.Merged)
-	}
-	for _, site := range []string{"rack-corrupt", "rack-dead"} {
-		if err, ok := rep.Skipped[site]; !ok || err == nil {
-			t.Fatalf("Skipped = %v, want %s with its error", rep.Skipped, site)
 		}
 	}
-	// Only the timing-out site slept: two retries at the (jitter-pinned)
-	// 1ms base; the dead site adds its own two.
+	for i := range r0 {
+		if r0[i] != shared {
+			dead = r0[i]
+		}
+		if r1[i] != shared {
+			corrupt = r1[i]
+		}
+	}
+	if shared == "" || dead == "" || corrupt == "" || dead == corrupt {
+		t.Fatalf("replica layout %v / %v does not share exactly one site", r0, r1)
+	}
+	tc.fakes[shared].failFirst = 2 // partition 0 times out twice, partition 1 answers
+	tc.fakes[dead].setDown(true)
+	tc.fakes[corrupt].corrupt[PartitionNamespace(1)] = true
+
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round did not commit with a valid replica per partition: %s", rep.Reason)
+	}
+	for site, want := range map[string]int{shared: 3 + 1, dead: 3, corrupt: 1} {
+		if got := tc.fakes[site].calls(); got != want {
+			t.Fatalf("site %s fetched %d times, want %d (transient and dead retry, corrupt does not)",
+				site, got, want)
+		}
+	}
+	// The timing-out replica slept twice at the (jitter-pinned) 1ms base;
+	// the dead one adds its own two.
 	if len(*slept) != 4 {
-		t.Fatalf("observed %d sleeps (%v), want 4: 2 for the slow site, 2 for the dead one", len(*slept), *slept)
+		t.Fatalf("observed %d sleeps (%v), want 4", len(*slept), *slept)
 	}
-	// The merged view holds exactly the healthy sites' items.
-	for _, item := range []uint64{1, 2} {
-		if e, ok := co.Query(item); !ok || e.Frequency != 10 {
-			t.Fatalf("item %d: entry %+v ok=%v, want frequency 10", item, e, ok)
+	for _, pr := range rep.Partitions {
+		if pr.MergedFrom != shared {
+			t.Fatalf("partition %d merged from %q, want the valid replica %q", pr.Partition, pr.MergedFrom, shared)
 		}
 	}
-
-	// Satellite: the report survives the round on the coordinator.
-	last, ok := co.LastReport()
-	if !ok {
-		t.Fatal("LastReport empty after a round")
+	for _, site := range []string{dead, corrupt} {
+		if sr := siteReport(t, rep, site); sr.Health != SiteDegraded || len(sr.Skips) != 1 {
+			t.Fatalf("failed site %s reported %+v, want degraded with one skip", site, sr)
+		}
 	}
-	if last.Epoch != rep.Epoch || len(last.Merged) != len(rep.Merged) || len(last.Skipped) != len(rep.Skipped) {
-		t.Fatalf("LastReport %+v does not match the returned report %+v", last, rep)
+	entries, _, _ := tc.g.TopK(100)
+	if len(entries) != 40 {
+		t.Fatalf("view holds %d items, want 40", len(entries))
 	}
-	last.Merged[0] = "mutated"
-	again, _ := co.LastReport()
-	if again.Merged[0] != "rack-ok" {
-		t.Fatal("LastReport returned a view aliasing internal state")
-	}
-}
-
-func TestLastReportEmptyBeforeFirstRound(t *testing.T) {
-	co := NewCoordinator(cfg())
-	if _, ok := co.LastReport(); ok {
-		t.Fatal("LastReport reported a round before one ran")
+	for _, e := range entries {
+		if e.Frequency != 1 {
+			t.Fatalf("item %d frequency %d, want 1 (one image per partition)", e.Item, e.Frequency)
+		}
 	}
 }
 
 func TestGatherRoundAllDeadKeepsPreviousView(t *testing.T) {
-	a := NewSite("rack-a", cfg())
-	for i := 0; i < 5; i++ {
-		a.Insert(9)
-	}
-	co := NewCoordinator(cfg())
-	policy, _ := recordedPolicy(2, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{"rack-a": siteFetcher(a)}, policy)
-	if rep.Degraded() || rep.Epoch != 1 {
+	tc := newTestCluster(t, 4, 2, BreakerConfig{}, fastPolicy())
+	tc.insert(9, 5)
+	tc.endPeriod()
+	if rep := tc.g.Round(context.Background()); !rep.Committed || rep.Epoch != 1 {
 		t.Fatalf("healthy round: %+v", rep)
 	}
-
-	rep = co.GatherRound(map[string]Fetcher{
-		"rack-a": func() ([]byte, error) { return nil, errors.New("powered off") },
-	}, policy)
-	if len(rep.Merged) != 0 || rep.Epoch != 2 {
-		t.Fatalf("all-dead round: %+v, want empty merge at epoch 2", rep)
+	for _, f := range tc.fakes {
+		f.setDown(true)
+	}
+	rep := tc.g.Round(context.Background())
+	if rep.Committed || rep.Epoch != 1 || !strings.Contains(rep.Reason, "quorum") {
+		t.Fatalf("all-dead round: %+v, want uncommitted at epoch 1 for quorum loss", rep)
 	}
 	// Stale beats blank: the previous round's view still answers.
-	if e, ok := co.Query(9); !ok || e.Frequency != 5 {
-		t.Fatalf("previous view lost after an all-dead round: %+v ok=%v", e, ok)
+	entries, info, ok := tc.g.TopK(5)
+	if !ok || len(entries) != 1 || entries[0].Item != 9 || entries[0].Frequency != 5 {
+		t.Fatalf("previous view lost after an all-dead round: %+v ok=%v", entries, ok)
+	}
+	if !info.Stale {
+		t.Fatal("view not marked stale after an all-dead round")
+	}
+}
+
+// TestGatherCanceledRoundChargesNoSite runs rounds under a context that
+// is already done. They must end uncommitted, naming the cancellation,
+// and leave every site's breaker, skip count and health as they were: a
+// caller that gives up says nothing about the sites.
+func TestGatherCanceledRoundChargesNoSite(t *testing.T) {
+	tc := newTestCluster(t, 8, 2, BreakerConfig{Trip: 2}, fastPolicy())
+	tc.load(100)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 2; i++ {
+		rep := tc.g.Round(canceled)
+		if rep.Committed || !strings.Contains(rep.Reason, "canceled") {
+			t.Fatalf("round %d under a canceled context: committed=%v reason %q", i, rep.Committed, rep.Reason)
+		}
+		for _, sr := range rep.Sites {
+			if sr.Health != SiteHealthy || len(sr.Skips) != 0 {
+				t.Fatalf("round %d charged %s for the cancellation: %+v", i, sr.Site, sr)
+			}
+		}
+	}
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("healthy round after canceled ones did not commit: %s", rep.Reason)
+	}
+	st := tc.g.Stats()
+	for site, state := range st.BreakerState {
+		if state != BreakerClosed || st.SiteSkips[site] != 0 {
+			t.Fatalf("site %s: breaker %v, %d skips after canceled rounds, want closed and 0",
+				site, state, st.SiteSkips[site])
+		}
+	}
+
+	// A readiness probe that fails only because the context is done must
+	// not restart an open breaker's cooldown.
+	site := tc.topo.Sites()[0]
+	tc.fakes[site].setDown(true)
+	tc.g.Round(context.Background())
+	tc.g.Round(context.Background())
+	if st := tc.g.Stats(); st.BreakerState[site] != BreakerOpen {
+		t.Fatalf("breaker %v after 2 failed rounds, want open", st.BreakerState[site])
+	}
+	tc.fakes[site].setDown(false)
+	tc.clock = tc.clock.Add(5 * time.Second) // the default cooldown
+	tc.g.Round(canceled)
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("round after the cooldown did not commit: %s", rep.Reason)
+	}
+	if st := tc.g.Stats(); st.BreakerState[site] != BreakerClosed {
+		t.Fatalf("breaker %v after the cooldown, want closed: the canceled probe restarted it",
+			st.BreakerState[site])
+	}
+}
+
+// TestGatherCancelInterruptsBackoff cancels a round while its only
+// replica's fetch is in flight: once during a 10s backoff wait with the
+// default sleep, once inside the last attempt's stalled fetch. The round
+// must end promptly and charge the site nothing.
+func TestGatherCancelInterruptsBackoff(t *testing.T) {
+	for _, tt := range []struct {
+		name     string
+		attempts int
+		stall    bool
+	}{
+		{"backoff", 4, false},
+		{"last attempt", 1, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc, site := deadReplicaCluster(t, RetryPolicy{
+				Attempts:  tt.attempts,
+				BaseDelay: 10 * time.Second,
+				MaxDelay:  10 * time.Second,
+				rand:      func() float64 { return 1 },
+			})
+			tc.fakes[site].stall = tt.stall
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(100*time.Millisecond, cancel)
+			start := time.Now()
+			rep := tc.g.Round(ctx)
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("canceled round took %v, want < 1s", elapsed)
+			}
+			if got := tc.fakes[site].calls(); got != 1 {
+				t.Fatalf("site fetched %d times, want 1 (the cancel lands during the first)", got)
+			}
+			if rep.Committed || !strings.Contains(rep.Reason, "canceled") {
+				t.Fatalf("canceled round: committed=%v reason %q", rep.Committed, rep.Reason)
+			}
+			if sr := siteReport(t, rep, site); sr.Health != SiteHealthy || sr.Failures != 0 || len(sr.Skips) != 0 {
+				t.Fatalf("site charged for the cancellation: %+v", sr)
+			}
+		})
 	}
 }

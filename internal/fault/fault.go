@@ -32,7 +32,8 @@ const (
 	// sleeping hook simulates a slow shard backing traffic up its ring.
 	PipelineSlow Point = "pipeline/slow"
 	// SnapshotWrite fires before a snapshot frame is written; an erroring
-	// hook makes the write tear (half the frame reaches the temp file).
+	// hook makes the write tear (half the frame header reaches the temp
+	// file, which is then removed) and the save fails.
 	SnapshotWrite Point = "snapshot/write"
 	// SnapshotSync fires before the snapshot temp file is fsynced.
 	SnapshotSync Point = "snapshot/sync"
@@ -63,7 +64,7 @@ const (
 	CheckpointShip Point = "server/checkpoint"
 	// CoordCommit fires in the cluster gatherer after every partition has
 	// been collected but before the merged view is committed; a panicking
-	// hook simulates the coordinator dying between Collect and Commit, an
+	// hook simulates the coordinator dying between gather and commit, an
 	// erroring hook aborts the commit while the process survives. Either
 	// way the previous committed view must keep serving.
 	CoordCommit Point = "cluster/commit"

@@ -1,7 +1,9 @@
-// Package snapshot gives a serving tracker crash safety: a Snapshotter
-// periodically checkpoints an opaque payload (the tracker's MarshalBinary
-// image) to disk, and Recover finds the newest intact checkpoint after a
+// Package snapshot gives a serving tracker crash safety: WriteFileTo
+// streams an opaque payload (a tenant's tracker image) to disk as one
+// checksummed frame, and Recover finds the newest intact snapshot after a
 // restart — including a kill -9 mid-write, a full disk, or a torn rename.
+// A save is NextSeq (once per directory), WriteFileTo, then Prune; the
+// tenant registry runs that sequence for every tenant.
 //
 // Durability discipline: every snapshot is written to a temp file in the
 // target directory, fsynced, closed, renamed into place, and the directory
@@ -40,9 +42,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"sigstream/internal/fault"
 )
@@ -55,8 +54,8 @@ const (
 	prefix = "snap-"
 	suffix = ".ssnap"
 
-	// DefaultRetain is how many snapshots Snapshotter keeps when
-	// Options.Retain is zero.
+	// DefaultRetain is how many snapshots a directory keeps when the
+	// caller sets no retention.
 	DefaultRetain = 3
 )
 
@@ -64,7 +63,8 @@ const (
 // errors.Is one sentinel instead of matching reason strings.
 var ErrCorrupt = errors.New("snapshot: corrupt frame")
 
-// Encode frames payload for disk: magic, length, payload, CRC32 trailer.
+// Encode frames payload: magic, length, payload, CRC32 trailer. It is
+// the in-memory form of the frame WriteFileTo streams to disk.
 func Encode(payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload)+trailerSize)
 	copy(buf, magic)
@@ -101,15 +101,15 @@ func Decode(data []byte) ([]byte, error) {
 	return data[headerSize : headerSize+n], nil
 }
 
-// WriteFileTo is the streaming counterpart of WriteFile: instead of a
-// materialized payload it takes a function that streams the payload into
-// an io.Writer (for example Sharded.EncodeTo), so a large tracker image
-// goes to disk without ever existing as one []byte. The frame is built
-// in place — payload bytes land at their final offset while a running
-// CRC accumulates, then the header is patched in and the trailer checksum
-// derived by CRC combination — and the write keeps the full crash
-// discipline (temp file, fsync, rename, directory fsync). It returns the
-// written file name.
+// WriteFileTo writes snapshot seq to dir, creating dir if missing, and
+// returns the written file name. The payload comes from write, which
+// streams it into an io.Writer (for example Sharded.EncodeTo), so a large
+// tracker image goes to disk without ever existing as one []byte. The
+// frame is built in place — payload bytes land at their final offset
+// while a running CRC accumulates, then the header is patched in and the
+// trailer checksum derived by CRC combination — and the write keeps the
+// full crash discipline (temp file, fsync, rename, directory fsync).
+// Concurrent writers of the same directory must serialize externally.
 func WriteFileTo(dir string, seq uint64, write func(io.Writer) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("snapshot: %w", err)
@@ -121,12 +121,15 @@ func WriteFileTo(dir string, seq uint64, write func(io.Writer) error) (string, e
 	return name, nil
 }
 
-// writeAtomicTo streams a frame to dir/name with the same crash
-// discipline as writeAtomic. The payload is written at its final offset
-// behind a placeholder header; once its length and CRC are known the
-// header is patched and the trailer appended, with the frame checksum
-// assembled as combine(crc(header), crc(payload)) so the payload is
-// never re-read or buffered.
+// writeAtomicTo streams a frame to dir/name with full crash discipline:
+// temp file, fsync, close, rename, directory fsync. On any failure the
+// temp file is removed and dir/name is untouched, so a concurrent or
+// later Recover never observes a half-written final file. The payload is
+// written at its final offset behind a placeholder header; once its
+// length and CRC are known the header is patched and the trailer
+// appended, with the frame checksum assembled as combine(crc(header),
+// crc(payload)) so the payload is never re-read or buffered. The write,
+// sync and rename steps carry fault-injection points for chaos tests.
 func writeAtomicTo(dir, name string, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -139,8 +142,8 @@ func writeAtomicTo(dir, name string, write func(io.Writer) error) error {
 		return err
 	}
 	if err := fault.Inject(fault.SnapshotWrite, 0); err != nil {
-		// Model a mid-write crash: the placeholder header lands (a torn
-		// file) and the write is refused.
+		// Model a mid-write failure: half the header lands in the temp
+		// file, which fail then removes.
 		var hdr [headerSize]byte
 		copy(hdr[:], magic)
 		_, _ = f.Write(hdr[:headerSize/2])
@@ -316,24 +319,6 @@ func Recover(dir string, logger *slog.Logger) ([]byte, string, error) {
 	return nil, "", nil
 }
 
-// WriteFile frames payload and writes it to dir as snapshot seq with the
-// full crash discipline (temp file, fsync, rename, directory fsync),
-// creating dir if missing. It returns the written file name. WriteFile is
-// the one-shot counterpart of Snapshotter.Save for callers — like the
-// tenant registry — that manage many snapshot directories and their own
-// sequence numbers; concurrent writers of the same directory must
-// serialize externally.
-func WriteFile(dir string, seq uint64, payload []byte) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	name := FileName(seq)
-	if err := writeAtomic(dir, name, Encode(payload)); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
 // NextSeq scans dir and returns the first sequence number past every
 // existing snapshot file, valid or corrupt — so a skipped corrupt file is
 // never overwritten. A missing directory yields 0, the first sequence of a
@@ -399,55 +384,6 @@ func Prune(dir string, retain int, logger *slog.Logger) {
 	}
 }
 
-// writeAtomic writes frame to dir/name with full crash discipline: temp
-// file, fsync, close, rename, directory fsync. On any failure the temp
-// file is removed and dir/name is untouched, so a concurrent or later
-// Recover never observes a half-written final file. The write, sync and
-// rename steps carry fault-injection points for chaos tests; an injected
-// write fault additionally tears the temp file (half the frame lands) to
-// model a mid-write crash.
-func writeAtomic(dir, name string, frame []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(f, frame); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncFile(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := renameFile(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// writeFrame writes the whole frame, or — under an injected write fault —
-// tears it: half the frame reaches the file and the injected error is
-// returned, exactly what a crash or a full disk mid-write leaves behind.
-func writeFrame(f *os.File, frame []byte) error {
-	if err := fault.Inject(fault.SnapshotWrite, 0); err != nil {
-		_, _ = f.Write(frame[:len(frame)/2])
-		return fmt.Errorf("snapshot: write %s: %w", f.Name(), err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		return fmt.Errorf("snapshot: write %s: %w", f.Name(), err)
-	}
-	return nil
-}
-
 // syncFile fsyncs the temp file (injection point: fsync failure).
 func syncFile(f *os.File) error {
 	if err := fault.Inject(fault.SnapshotSync, 0); err != nil {
@@ -481,188 +417,4 @@ func syncDir(dir string) {
 	}
 	_ = d.Sync()
 	d.Close()
-}
-
-// Source produces one checkpoint payload; the Snapshotter calls it on
-// every interval tick and once more on Close.
-type Source func() ([]byte, error)
-
-// Options tunes a Snapshotter.
-type Options struct {
-	// Dir is the snapshot directory (created if missing).
-	Dir string
-	// Interval is the periodic checkpoint cadence; zero or negative means
-	// no ticker — only explicit Save calls and the final snapshot on
-	// Close.
-	Interval time.Duration
-	// Retain is how many newest snapshots to keep (default DefaultRetain).
-	// Pruning also removes stray .tmp files left by crashed writes.
-	Retain int
-	// Logger receives save/skip/prune events (default slog.Default()).
-	Logger *slog.Logger
-}
-
-// Stats is a point-in-time snapshot of the Snapshotter's counters, for
-// /metrics exposition.
-type Stats struct {
-	// Saves counts successful snapshots written.
-	Saves uint64
-	// Errors counts failed snapshot attempts (source or I/O).
-	Errors uint64
-	// LastSeq is the sequence number of the newest successful snapshot.
-	LastSeq uint64
-	// LastBytes is the frame size of the newest successful snapshot.
-	LastBytes uint64
-}
-
-// Snapshotter periodically checkpoints a Source to disk. All methods are
-// safe for concurrent use.
-type Snapshotter struct {
-	src      Source
-	dir      string
-	interval time.Duration
-	retain   int
-	logger   *slog.Logger
-
-	mu      sync.Mutex // serializes Save and the seq counter
-	nextSeq uint64
-
-	saves, errs        atomic.Uint64
-	lastSeq, lastBytes atomic.Uint64
-
-	stop      chan struct{}
-	done      chan struct{}
-	started   bool
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// New prepares a Snapshotter over src: it creates opts.Dir if missing and
-// resumes sequence numbering past any snapshot already there (valid or
-// not, so a skipped corrupt file is never overwritten and can be kept for
-// forensics). Call Start to begin periodic checkpoints and Close to take
-// the final one.
-func New(src Source, opts Options) (*Snapshotter, error) {
-	if src == nil {
-		return nil, errors.New("snapshot: nil source")
-	}
-	if opts.Dir == "" {
-		return nil, errors.New("snapshot: no directory")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	retain := opts.Retain
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	s := &Snapshotter{
-		src:      src,
-		dir:      opts.Dir,
-		interval: opts.Interval,
-		retain:   retain,
-		logger:   logger,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	entries, err := os.ReadDir(opts.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	for _, e := range entries {
-		if seq, ok := ParseSeq(e.Name()); ok && seq >= s.nextSeq {
-			s.nextSeq = seq + 1
-		}
-	}
-	return s, nil
-}
-
-// Dir reports the snapshot directory.
-func (s *Snapshotter) Dir() string { return s.dir }
-
-// Start launches the periodic checkpoint goroutine. With a non-positive
-// interval it is a no-op (Save and Close still work). Start must be
-// called at most once, before Close.
-func (s *Snapshotter) Start() {
-	if s.interval <= 0 {
-		return
-	}
-	s.started = true
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if _, err := s.Save(); err != nil {
-					s.logger.Error("snapshot: periodic save failed", "err", err)
-				}
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Save takes one snapshot now: pull a payload from the source, frame it,
-// write it atomically, prune old snapshots. It returns the written file
-// name. Saves are serialized; a failed save burns its sequence number,
-// which keeps numbering strictly increasing and costs nothing.
-func (s *Snapshotter) Save() (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	payload, err := s.src()
-	if err != nil {
-		s.errs.Add(1)
-		return "", fmt.Errorf("snapshot: source: %w", err)
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	name := FileName(seq)
-	frame := Encode(payload)
-	if err := writeAtomic(s.dir, name, frame); err != nil {
-		s.errs.Add(1)
-		return "", err
-	}
-	s.saves.Add(1)
-	s.lastSeq.Store(seq)
-	s.lastBytes.Store(uint64(len(frame)))
-	s.prune()
-	return name, nil
-}
-
-// prune removes all but the newest retain snapshots, plus any stray .tmp
-// files left behind by a crashed write. Called with mu held.
-func (s *Snapshotter) prune() {
-	Prune(s.dir, s.retain, s.logger)
-}
-
-// Close stops the periodic goroutine and takes one final snapshot, so a
-// graceful shutdown never loses more than the in-flight batch. It is
-// idempotent; every call reports the final snapshot's outcome.
-func (s *Snapshotter) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		if s.started {
-			<-s.done
-		}
-		_, err := s.Save()
-		s.closeErr = err
-	})
-	return s.closeErr
-}
-
-// Stats snapshots the save/error counters.
-func (s *Snapshotter) Stats() Stats {
-	return Stats{
-		Saves:     s.saves.Load(),
-		Errors:    s.errs.Load(),
-		LastSeq:   s.lastSeq.Load(),
-		LastBytes: s.lastBytes.Load(),
-	}
 }

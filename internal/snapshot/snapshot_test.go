@@ -3,13 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sigstream/internal/fault"
 )
@@ -56,29 +54,50 @@ func flipBit(frame []byte, i int) []byte {
 	return c
 }
 
-func newSnapshotter(t *testing.T, dir string, payload *[]byte) *Snapshotter {
-	t.Helper()
-	s, err := New(func() ([]byte, error) { return *payload, nil }, Options{
-		Dir: dir, Retain: 2, Logger: discard(),
+// saver runs the save sequence a tenant runs on its snapshot directory:
+// NextSeq once, then WriteFileTo and Prune per save. A failed save burns
+// its sequence number, as the tenant's does.
+type saver struct {
+	dir  string
+	next uint64
+	init bool
+}
+
+func (s *saver) save(payload []byte) (string, error) {
+	if !s.init {
+		seq, err := NextSeq(s.dir)
+		if err != nil {
+			return "", err
+		}
+		s.next, s.init = seq, true
+	}
+	seq := s.next
+	s.next++
+	name, err := WriteFileTo(s.dir, seq, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
 	})
+	if err != nil {
+		return "", err
+	}
+	Prune(s.dir, 2, discard())
+	return name, nil
+}
+
+func mustSave(t *testing.T, s *saver, payload string) string {
+	t.Helper()
+	name, err := s.save([]byte(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return name
 }
 
 func TestSaveRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("state v1")
-	s := newSnapshotter(t, dir, &payload)
-	name, err := s.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload = []byte("state v2")
-	if _, err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
+	s := &saver{dir: dir}
+	name := mustSave(t, s, "state v1")
+	mustSave(t, s, "state v2")
 	got, from, err := Recover(dir, discard())
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +107,6 @@ func TestSaveRecoverRoundTrip(t *testing.T) {
 	}
 	if from == name {
 		t.Fatalf("recovered the older snapshot %s", from)
-	}
-	st := s.Stats()
-	if st.Saves != 2 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want 2 saves 0 errors", st)
 	}
 }
 
@@ -109,11 +124,7 @@ func TestRecoverEmptyAndMissingDir(t *testing.T) {
 // back to the older intact file every time.
 func TestRecoverSkipsTornNewest(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("good old state")
-	s := newSnapshotter(t, dir, &payload)
-	if _, err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
+	mustSave(t, &saver{dir: dir}, "good old state")
 	newest := filepath.Join(dir, FileName(99))
 	frame := Encode([]byte("newer but doomed"))
 	for name, corrupt := range map[string][]byte{
@@ -136,21 +147,19 @@ func TestRecoverSkipsTornNewest(t *testing.T) {
 
 func TestRetentionPrunes(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("p")
-	s := newSnapshotter(t, dir, &payload) // Retain: 2
-	for i := 0; i < 5; i++ {
-		if _, err := s.Save(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	// A temp file left by a write that crashed before its rename.
+	if err := os.WriteFile(filepath.Join(dir, FileName(42)+".tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	s := &saver{dir: dir} // retains 2
+	for i := 0; i < 5; i++ {
+		mustSave(t, s, "p")
+	}
+	entries := mustReadDir(t, dir)
 	if len(entries) != 2 {
 		t.Fatalf("retained %d files, want 2: %v", len(entries), entries)
 	}
-	// The two newest sequence numbers survive.
+	// The two newest sequence numbers survive; the stray temp file is gone.
 	for _, e := range entries {
 		seq, ok := ParseSeq(e.Name())
 		if !ok || seq < 3 {
@@ -161,49 +170,43 @@ func TestRetentionPrunes(t *testing.T) {
 
 func TestSequenceResumesPastExistingFiles(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("p")
-	s1 := newSnapshotter(t, dir, &payload)
+	s1 := &saver{dir: dir}
 	for i := 0; i < 3; i++ {
-		if _, err := s1.Save(); err != nil {
-			t.Fatal(err)
-		}
+		mustSave(t, s1, "p")
 	}
-	s2 := newSnapshotter(t, dir, &payload)
-	name, err := s2.Save()
-	if err != nil {
+	name := mustSave(t, &saver{dir: dir}, "p")
+	if seq, _ := ParseSeq(name); seq != 3 {
+		t.Fatalf("restarted saver wrote seq %d, want 3", seq)
+	}
+	// A corrupt file still claims its sequence number, so it is never
+	// overwritten.
+	if err := os.WriteFile(filepath.Join(dir, FileName(9)), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := ParseSeq(name)
-	if seq != 3 {
-		t.Fatalf("restarted snapshotter wrote seq %d, want 3", seq)
+	name = mustSave(t, &saver{dir: dir}, "p")
+	if seq, _ := ParseSeq(name); seq != 10 {
+		t.Fatalf("saver wrote seq %d past a corrupt seq 9, want 10", seq)
 	}
 }
 
 // TestChaosSnapshotWriteFaults injects each I/O fault in turn — short
 // write, fsync failure, rename failure — and checks the failed save
-// leaves no final file behind, counts an error, and recovery still finds
-// the last good snapshot.
+// leaves no file behind, recovery still finds the last good snapshot, and
+// the next save succeeds.
 func TestChaosSnapshotWriteFaults(t *testing.T) {
 	boom := errors.New("injected io failure")
 	points := []fault.Point{fault.SnapshotWrite, fault.SnapshotSync, fault.SnapshotRename}
 	for _, p := range points {
 		t.Run(string(p), func(t *testing.T) {
 			dir := t.TempDir()
-			payload := []byte("durable")
-			s := newSnapshotter(t, dir, &payload)
-			if _, err := s.Save(); err != nil {
-				t.Fatal(err)
-			}
+			s := &saver{dir: dir}
+			good := mustSave(t, s, "durable")
 			deactivate := fault.Activate(p, func(int) error { return boom })
 			t.Cleanup(deactivate)
-			payload = []byte("lost to the fault")
-			if _, err := s.Save(); !errors.Is(err, boom) {
+			if _, err := s.save([]byte("lost to the fault")); !errors.Is(err, boom) {
 				t.Fatalf("faulted save err = %v, want injected failure", err)
 			}
 			deactivate()
-			if st := s.Stats(); st.Errors != 1 || st.Saves != 1 {
-				t.Fatalf("stats = %+v, want 1 save 1 error", st)
-			}
 			got, _, err := Recover(dir, discard())
 			if err != nil {
 				t.Fatal(err)
@@ -211,30 +214,14 @@ func TestChaosSnapshotWriteFaults(t *testing.T) {
 			if string(got) != "durable" {
 				t.Fatalf("recovered %q, want the pre-fault snapshot", got)
 			}
-			// The faulted attempt must not leave a final-named file; a torn
-			// temp file is allowed (the write fault models a crash) and the
-			// next successful save prunes it.
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
+			// The faulted attempt leaves neither a final-named file nor its
+			// temp file.
+			if entries := mustReadDir(t, dir); len(entries) != 1 || entries[0].Name() != good {
+				t.Fatalf("directory after faulted save holds %v, want only %s", entries, good)
 			}
-			finals := 0
-			for _, e := range entries {
-				if _, ok := ParseSeq(e.Name()); ok {
-					finals++
-				}
-			}
-			if finals != 1 {
-				t.Fatalf("%d final snapshot files after faulted save, want 1", finals)
-			}
-			payload = []byte("recovered cadence")
-			if _, err := s.Save(); err != nil {
-				t.Fatalf("save after fault cleared: %v", err)
-			}
-			for _, e := range mustReadDir(t, dir) {
-				if filepath.Ext(e.Name()) == ".tmp" {
-					t.Fatalf("stray temp file %s survived pruning", e.Name())
-				}
+			mustSave(t, s, "recovered cadence")
+			if got, _, err := Recover(dir, discard()); err != nil || string(got) != "recovered cadence" {
+				t.Fatalf("recover after fault cleared: %q %v", got, err)
 			}
 		})
 	}
@@ -249,71 +236,7 @@ func mustReadDir(t *testing.T, dir string) []os.DirEntry {
 	return entries
 }
 
-func TestPeriodicSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	payload := []byte("tick")
-	s, err := New(func() ([]byte, error) { return payload, nil }, Options{
-		Dir: dir, Interval: 5 * time.Millisecond, Logger: discard(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Saves < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("no periodic snapshots after 5s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close is idempotent and took a final snapshot.
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	got, _, err := Recover(dir, discard())
-	if err != nil || string(got) != "tick" {
-		t.Fatalf("recover after close: %q %v", got, err)
-	}
-}
-
-func TestCloseTakesFinalSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	calls := 0
-	s, err := New(func() ([]byte, error) {
-		calls++
-		return []byte(fmt.Sprintf("call %d", calls)), nil
-	}, Options{Dir: dir, Logger: discard()}) // no interval: manual only
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start() // no-op without an interval
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Recover(dir, discard())
-	if err != nil || string(got) != "call 1" {
-		t.Fatalf("final snapshot: %q %v", got, err)
-	}
-}
-
-func TestSourceErrorCounts(t *testing.T) {
-	s, err := New(func() ([]byte, error) { return nil, errors.New("tracker busy") },
-		Options{Dir: t.TempDir(), Logger: discard()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Save(); err == nil {
-		t.Fatal("save with failing source succeeded")
-	}
-	if st := s.Stats(); st.Errors != 1 {
-		t.Fatalf("stats = %+v, want 1 error", st)
-	}
-}
-
-func TestWriteFileToMatchesWriteFile(t *testing.T) {
+func TestWriteFileToMatchesEncode(t *testing.T) {
 	payloads := [][]byte{
 		{},
 		{0},
@@ -343,7 +266,7 @@ func TestWriteFileToMatchesWriteFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		// Bit-identical to the buffered path: the combined CRC is the CRC.
+		// Bit-identical to the in-memory frame: the combined CRC is the CRC.
 		if want := Encode(payload); !bytes.Equal(streamed, want) {
 			t.Fatalf("case %d: streamed frame differs from Encode", i)
 		}

@@ -516,7 +516,10 @@ func TestLegacyRawImageRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.WriteFile(filepath.Join(dir, "old"), 0, img); err != nil {
+	if _, err := snapshot.WriteFileTo(filepath.Join(dir, "old"), 0, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry(Config{Tracker: cfg, Shards: 1, Logger: quietLogger()})
