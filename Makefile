@@ -102,17 +102,20 @@ eval-paper:
 fuzz:
 	$(GO) test -fuzz=FuzzOps -fuzztime=30s ./internal/ltc/
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/ltc/
+	$(GO) test -fuzz=FuzzFastmod -fuzztime=30s ./internal/ltc/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/traceio/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/traceio/
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=30s ./internal/wal/
 	$(GO) test -fuzz=FuzzIngestDecode -fuzztime=30s ./internal/ingest/
 
-# The quick fuzz pass CI runs on every push (10s per LTC target).
+# The quick fuzz pass CI runs on every push (10s per target).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzOps$$' -fuzztime=10s ./internal/ltc/
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpoint$$' -fuzztime=10s ./internal/ltc/
 	$(GO) test -run=^$$ -fuzz='^FuzzFastmod$$' -fuzztime=10s ./internal/ltc/
+	$(GO) test -run=^$$ -fuzz='^FuzzReadText$$' -fuzztime=10s ./internal/traceio/
+	$(GO) test -run=^$$ -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/traceio/
 	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s ./internal/snapshot/
 	$(GO) test -run=^$$ -fuzz='^FuzzWALDecode$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run=^$$ -fuzz='^FuzzIngestDecode$$' -fuzztime=10s ./internal/ingest/

@@ -26,8 +26,7 @@ import (
 // tenant ingest path, so the spread between rows is pure wire overhead.
 //
 // It lives in cmd/sigbench rather than internal/exp because it boots the
-// full server; the root package's figure benchmarks import internal/exp,
-// which must therefore stay below internal/server in the import graph.
+// full server, while every internal/exp figure drives the library alone.
 //
 // On a multi-core host, rerun with GOMAXPROCS released (the default) and
 // several concurrent connections via `siggen -ingest` to price parallel

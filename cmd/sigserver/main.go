@@ -25,7 +25,8 @@
 //
 // Multi-tenant: every /v1/* route above also exists tenant-scoped as
 // /v1/t/{ns}/* (insert, period, top, query, stats, checkpoint,
-// restore), where {ns} is a namespace of [a-z0-9-], 1-63 characters.
+// restore), where {ns} is a namespace of [a-z0-9._-], 1-64 bytes,
+// starting with a letter or digit.
 // Inserting into an unknown namespace creates its tracker lazily; GET
 // /v1/tenants lists namespaces, POST /v1/tenants creates one up front,
 // and DELETE /v1/t/{ns} drops one. The legacy un-namespaced routes are

@@ -47,8 +47,7 @@
 // sketch+Bloom-filter persistency adapters, and PIE — behind the same
 // Tracker interface, so head-to-head evaluations are one loop. All eight
 // are built by one constructor, NewBaseline(kind, cfg), from the same
-// Config that drives New; the positional constructors (NewSpaceSaving,
-// NewPIE, …) remain as deprecated wrappers. Constructors apply documented
-// defaults to zero Config fields and panic on invalid configurations;
-// validate untrusted input first with Config.Validate.
+// Config that drives New. Constructors apply documented defaults to zero
+// Config fields and panic on invalid configurations; validate untrusted
+// input first with Config.Validate.
 package sigstream

@@ -72,12 +72,10 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	}
 }
 
-// TestNoConstructorBypassesNewBaseline is the compat gate: NewBaseline
-// (plus the NewWindow extension) is the only sanctioned way to build a
-// Tracker. Any other exported Tracker-returning constructor must be a
-// deprecated positional wrapper living in compat.go — so a new baseline
-// cannot grow a new positional entry point, and the legacy wrappers
-// cannot migrate back into the live API surface.
+// TestNoConstructorBypassesNewBaseline keeps the constructor surface to
+// one entry point: NewBaseline (plus the NewWindow extension) is the only
+// exported root-package New* function that returns a Tracker, so a new
+// baseline cannot grow a positional constructor of its own.
 func TestNoConstructorBypassesNewBaseline(t *testing.T) {
 	sanctioned := map[string]bool{"NewBaseline": true, "NewWindow": true}
 	entries, err := os.ReadDir(".")
@@ -103,17 +101,9 @@ func TestNoConstructorBypassesNewBaseline(t *testing.T) {
 			if !strings.HasPrefix(fd.Name.Name, "New") || !returnsTracker(fd) {
 				continue
 			}
-			if sanctioned[fd.Name.Name] {
-				continue
-			}
-			if name != "compat.go" {
+			if !sanctioned[fd.Name.Name] {
 				t.Errorf("%s: exported constructor %s bypasses NewBaseline; "+
 					"construct through NewBaseline(kind, Config) instead",
-					posOf(fset, fd.Pos()), fd.Name.Name)
-				continue
-			}
-			if fd.Doc == nil || !strings.Contains(fd.Doc.Text(), "Deprecated:") {
-				t.Errorf("%s: compat.go constructor %s lacks a Deprecated: marker",
 					posOf(fset, fd.Pos()), fd.Name.Name)
 			}
 		}

@@ -28,12 +28,12 @@ func TestIntegrationFrequent(t *testing.T) {
 	const k = 100
 	trackers := map[string]Tracker{
 		"LTC":         New(Config{MemoryBytes: mem, Weights: Frequent, ItemsPerPeriod: s.ItemsPerPeriod()}),
-		"SpaceSaving": NewSpaceSaving(mem, 1),
-		"LossyCount":  NewLossyCounting(mem, 1),
-		"MisraGries":  NewMisraGries(mem, 1),
-		"CM":          NewFrequentSketch(CM, mem, k, 1),
-		"CU":          NewFrequentSketch(CU, mem, k, 1),
-		"Count":       NewFrequentSketch(Count, mem, k, 1),
+		"SpaceSaving": NewBaseline(SpaceSaving, Config{MemoryBytes: mem, Weights: Weights{Alpha: 1}}),
+		"LossyCount":  NewBaseline(LossyCounting, Config{MemoryBytes: mem, Weights: Weights{Alpha: 1}}),
+		"MisraGries":  NewBaseline(MisraGries, Config{MemoryBytes: mem, Weights: Weights{Alpha: 1}}),
+		"CM":          NewBaseline(FrequentSketch, Config{MemoryBytes: mem, TopK: k, Sketch: CM, Weights: Weights{Alpha: 1}}),
+		"CU":          NewBaseline(FrequentSketch, Config{MemoryBytes: mem, TopK: k, Sketch: CU, Weights: Weights{Alpha: 1}}),
+		"Count":       NewBaseline(FrequentSketch, Config{MemoryBytes: mem, TopK: k, Sketch: Count, Weights: Weights{Alpha: 1}}),
 	}
 	scores := map[string]metrics.Report{}
 	for name, tr := range trackers {
@@ -91,7 +91,7 @@ func TestIntegrationSignificant(t *testing.T) {
 	const mem = 16 << 10
 	const k = 100
 	ltc := New(Config{MemoryBytes: mem, Weights: w, ItemsPerPeriod: s.ItemsPerPeriod()})
-	cu := NewSignificantSketch(CU, mem, k, w)
+	cu := NewBaseline(SignificantSketch, Config{MemoryBytes: mem, TopK: k, Sketch: CU, Weights: w})
 	for _, tr := range []Tracker{ltc, cu} {
 		per := s.ItemsPerPeriod()
 		for i, it := range s.Items {

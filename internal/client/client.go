@@ -3,13 +3,11 @@
 // and point queries, stats, checkpoint download/restore and tenant
 // administration.
 //
-// The canonical surface is tenant-scoped and context-first: obtain a
-// handle with Client.Tenant (or Client.Default for the reserved default
-// namespace) and pass a context.Context to every request method, so
-// callers can cancel in-flight requests and bound deadlines. The
-// context-free Client methods are deprecated thin wrappers over the
-// default handle, kept for pre-namespace callers; they use the legacy
-// un-namespaced routes and context.Background().
+// The surface is tenant-scoped and context-first: obtain a handle with
+// Client.Tenant (or Client.Default for the reserved default namespace,
+// over the legacy un-namespaced routes) and pass a context.Context to
+// every request method, so callers can cancel in-flight requests and
+// bound deadlines.
 package client
 
 import (
@@ -528,56 +526,6 @@ func (t *Tenant) Restore(ctx context.Context, checkpoint []byte) error {
 		return statusError(resp)
 	}
 	return nil
-}
-
-// Insert ships a batch of keys to the default tenant.
-//
-// Deprecated: use Client.Default (or Client.Tenant) and Tenant.Insert
-// with a context.
-func (c *Client) Insert(keys ...string) (uint64, error) {
-	return c.Default().Insert(context.Background(), keys...)
-}
-
-// EndPeriod closes the default tenant's current period.
-//
-// Deprecated: use Tenant.EndPeriod with a context.
-func (c *Client) EndPeriod() (uint64, error) {
-	return c.Default().EndPeriod(context.Background())
-}
-
-// TopK fetches the default tenant's k most significant items.
-//
-// Deprecated: use Tenant.TopK with a context.
-func (c *Client) TopK(k int) ([]Entry, error) {
-	return c.Default().TopK(context.Background(), k)
-}
-
-// Query fetches one key's estimate from the default tenant.
-//
-// Deprecated: use Tenant.Query with a context.
-func (c *Client) Query(key string) (Entry, error) {
-	return c.Default().Query(context.Background(), key)
-}
-
-// Stats fetches the default tenant's statistics.
-//
-// Deprecated: use Tenant.Stats with a context.
-func (c *Client) Stats() (Stats, error) {
-	return c.Default().Stats(context.Background())
-}
-
-// Checkpoint downloads a binary snapshot of the default tenant.
-//
-// Deprecated: use Tenant.Checkpoint with a context.
-func (c *Client) Checkpoint() ([]byte, error) {
-	return c.Default().Checkpoint(context.Background())
-}
-
-// Restore replaces the default tenant's state with a snapshot.
-//
-// Deprecated: use Tenant.Restore with a context.
-func (c *Client) Restore(checkpoint []byte) error {
-	return c.Default().Restore(context.Background(), checkpoint)
 }
 
 // decode consumes a JSON 200 response into v, translating throttles and

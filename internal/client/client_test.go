@@ -23,29 +23,30 @@ func newPair(t *testing.T) *Client {
 
 func TestClientRoundTrip(t *testing.T) {
 	c := newPair(t)
-	n, err := c.Insert("a", "a", "b")
+	ctx := context.Background()
+	n, err := c.Default().Insert(ctx, "a", "a", "b")
 	if err != nil || n != 3 {
 		t.Fatalf("Insert = %d, %v", n, err)
 	}
-	p, err := c.EndPeriod()
+	p, err := c.Default().EndPeriod(ctx)
 	if err != nil || p != 1 {
 		t.Fatalf("EndPeriod = %d, %v", p, err)
 	}
-	e, err := c.Query("a")
+	e, err := c.Default().Query(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Frequency != 2 || e.Persistency != 1 {
 		t.Fatalf("a: %+v", e)
 	}
-	top, err := c.TopK(5)
+	top, err := c.Default().TopK(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top) != 2 || top[0].Key != "a" {
 		t.Fatalf("TopK = %+v", top)
 	}
-	st, err := c.Stats()
+	st, err := c.Default().Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,33 +57,35 @@ func TestClientRoundTrip(t *testing.T) {
 
 func TestClientNotTracked(t *testing.T) {
 	c := newPair(t)
-	if _, err := c.Query("ghost"); !errors.Is(err, ErrNotTracked) {
+	ctx := context.Background()
+	if _, err := c.Default().Query(ctx, "ghost"); !errors.Is(err, ErrNotTracked) {
 		t.Fatalf("want ErrNotTracked, got %v", err)
 	}
 }
 
 func TestClientCheckpointRestore(t *testing.T) {
 	c := newPair(t)
-	c.Insert("x", "x", "y")
-	c.EndPeriod()
-	img, err := c.Checkpoint()
+	ctx := context.Background()
+	c.Default().Insert(ctx, "x", "x", "y")
+	c.Default().EndPeriod(ctx)
+	img, err := c.Default().Checkpoint(ctx)
 	if err != nil || len(img) == 0 {
 		t.Fatalf("Checkpoint: %d bytes, %v", len(img), err)
 	}
 	// Mutate, restore, verify the state rolled back.
-	c.Insert("z", "z", "z", "z")
-	if err := c.Restore(img); err != nil {
+	c.Default().Insert(ctx, "z", "z", "z", "z")
+	if err := c.Default().Restore(ctx, img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query("z"); !errors.Is(err, ErrNotTracked) {
+	if _, err := c.Default().Query(ctx, "z"); !errors.Is(err, ErrNotTracked) {
 		t.Fatal("z survived restore")
 	}
-	e, err := c.Query("x")
+	e, err := c.Default().Query(ctx, "x")
 	if err != nil || e.Frequency != 2 {
 		t.Fatalf("x after restore: %+v, %v", e, err)
 	}
 	// Garbage restore surfaces the server's 400.
-	if err := c.Restore([]byte("junk")); err == nil {
+	if err := c.Default().Restore(ctx, []byte("junk")); err == nil {
 		t.Fatal("garbage restore accepted")
 	}
 }
@@ -150,7 +153,7 @@ func TestClientContextCancel(t *testing.T) {
 
 func TestClientBadBase(t *testing.T) {
 	c := New("http://127.0.0.1:1", nil) // nothing listening
-	if _, err := c.Insert("a"); err == nil {
+	if _, err := c.Default().Insert(context.Background(), "a"); err == nil {
 		t.Fatal("dead endpoint produced no error")
 	}
 }

@@ -2,70 +2,11 @@ package exp
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
-	"sigstream/internal/hashing"
-	"sigstream/internal/ltc"
-	"sigstream/internal/pipeline"
+	"sigstream"
 	"sigstream/internal/stream"
 )
-
-// miniSharded is a self-contained sharded LTC for the pipeline figure: the
-// exp package cannot import the public sigstream package (the root tests
-// import exp), so the figure rebuilds the same shape — item-space hash
-// partition, one mutex-guarded LTC per shard — from the internal pieces.
-type miniSharded struct {
-	mus []sync.Mutex
-	ls  []*ltc.LTC
-}
-
-func newMiniSharded(mem, shards, itemsPerPeriod int) *miniSharded {
-	m := &miniSharded{mus: make([]sync.Mutex, shards), ls: make([]*ltc.LTC, shards)}
-	ipp := 0
-	if itemsPerPeriod > 0 {
-		ipp = (itemsPerPeriod + shards - 1) / shards
-	}
-	for i := range m.ls {
-		m.ls[i] = ltc.New(ltc.Options{MemoryBytes: mem / shards,
-			Weights: stream.Balanced, ItemsPerPeriod: ipp})
-	}
-	return m
-}
-
-// owner mirrors the public Sharded partition (Mix64 mod shards), so the
-// figure measures the same item placement the library uses.
-func (m *miniSharded) owner(it stream.Item) int {
-	return int(hashing.Mix64(it) % uint64(len(m.ls)))
-}
-
-func (m *miniSharded) endPeriod() {
-	for i := range m.ls {
-		m.mus[i].Lock()
-		m.ls[i].EndPeriod()
-		m.mus[i].Unlock()
-	}
-}
-
-// insertBatchSync partitions one batch by owning shard and applies each
-// sub-batch under that shard's lock — the synchronous sharded batch path.
-func (m *miniSharded) insertBatchSync(items []stream.Item, scratch [][]stream.Item) {
-	for i := range scratch {
-		scratch[i] = scratch[i][:0]
-	}
-	for _, it := range items {
-		s := m.owner(it)
-		scratch[s] = append(scratch[s], it)
-	}
-	for s, sub := range scratch {
-		if len(sub) == 0 {
-			continue
-		}
-		m.mus[s].Lock()
-		m.ls[s].InsertBatch(sub)
-		m.mus[s].Unlock()
-	}
-}
 
 // PipelineSweep measures single-producer ingestion throughput (Mops) of
 // the synchronous sharded batch path against the asynchronous pipelined
@@ -86,34 +27,24 @@ func PipelineSweep(sc Scale) Result {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		x := strconv.Itoa(shards)
+		cfg := sigstream.Config{MemoryBytes: mem, Weights: sigstream.Balanced,
+			ItemsPerPeriod: per}
 
-		sync := newMiniSharded(mem, shards, per)
-		scratch := make([][]stream.Item, shards)
+		sync := sigstream.NewSharded(cfg, shards)
 		t0 := time.Now()
-		replayBatches(s, batch, func(sub []stream.Item) {
-			sync.insertBatchSync(sub, scratch)
-		}, sync.endPeriod)
+		replayBatches(s, batch, sync.InsertBatch, sync.EndPeriod)
 		el := time.Since(t0)
 		rows = append(rows, Row{Figure: "pipe", Dataset: s.Label, Series: "sync",
 			X: x, Metric: "Mops", Value: float64(s.Len()) / el.Seconds() / 1e6})
 
-		piped := newMiniSharded(mem, shards, per)
-		sinks := make([]pipeline.Sink, shards)
-		for i := range sinks {
-			i := i
-			sinks[i] = pipeline.SinkFunc(func(items []uint64) {
-				piped.mus[i].Lock()
-				defer piped.mus[i].Unlock()
-				piped.ls[i].InsertBatch(items)
-			})
-		}
-		in := pipeline.New(sinks, pipeline.Options{})
+		piped := sigstream.NewSharded(cfg, shards)
+		in := piped.Pipeline(sigstream.PipelineOptions{})
 		t0 = time.Now()
 		replayBatches(s, batch, func(sub []stream.Item) {
 			_ = in.Submit(sub)
 		}, func() {
 			_ = in.Flush()
-			piped.endPeriod()
+			piped.EndPeriod()
 		})
 		_ = in.Flush()
 		el = time.Since(t0)

@@ -50,6 +50,7 @@ import (
 	"hash/crc32"
 
 	"sigstream"
+	"sigstream/internal/tenant"
 )
 
 // Protocol constants. MaxFrameBytes in Config bounds the payload length
@@ -74,8 +75,9 @@ const (
 	DefaultMaxFrameBytes = 1 << 20
 	// MaxKeyBytes is the largest key a record can carry (u16 length).
 	MaxKeyBytes = 1<<16 - 1
-	// MaxNamespaceBytes matches tenant.ValidNamespace's length cap.
-	MaxNamespaceBytes = 63
+	// MaxNamespaceBytes is the tenant namespace cap; the envelope's u8
+	// length byte holds it.
+	MaxNamespaceBytes = tenant.MaxNamespaceBytes
 	// MaxBatchArrivals caps one batch's weight-expanded arrival count, so
 	// a forged weight cannot expand a small frame into a multi-gigabyte
 	// WAL record or item slice.
@@ -89,8 +91,10 @@ const (
 // closes the connection after the ack (when the envelope was readable
 // enough to carry a sequence number).
 const (
-	// StatusOK: the batch is applied (and fsynced when a WAL is
-	// configured) or the period is closed.
+	// StatusOK: the period is closed, or the batch is accepted: fsynced
+	// when a WAL is configured, then applied — or, on a pipelined tenant,
+	// only queued for the shard workers, which apply it before the
+	// tenant's next read or period close.
 	StatusOK byte = 0
 	// StatusThrottled: the tenant's quota or pipeline high-water mark
 	// refused the batch; retry after the hinted delay.

@@ -9,6 +9,7 @@ import (
 
 	"sigstream"
 	"sigstream/internal/ingest"
+	"sigstream/internal/tenant"
 )
 
 // equivConfig is the geometry the ingest-equivalence tests share; the
@@ -172,5 +173,34 @@ func TestIngestEquivalenceWeightedVsRepeated(t *testing.T) {
 	if !bytes.Equal(images[0], images[1]) {
 		t.Fatalf("weighted and repeated streams diverge: %d vs %d bytes",
 			len(images[0]), len(images[1]))
+	}
+}
+
+// TestIngestLongestNamespace ships binary frames into a namespace of
+// tenant.MaxNamespaceBytes bytes, the longest the HTTP routes serve, and
+// reads them back through /v1/t/{ns}/top: both transports accept the same
+// namespaces.
+func TestIngestLongestNamespace(t *testing.T) {
+	s := New(equivConfig())
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() { srv.Close(); _ = s.Close() })
+	if err := s.StartIngest(IngestConfig{Addr: "127.0.0.1:0"}); err != nil {
+		t.Fatalf("StartIngest: %v", err)
+	}
+	ns := strings.Repeat("n", tenant.MaxNamespaceBytes)
+	conn, err := ingest.Dial(s.Ingest().Addr().String(), ingest.Options{Namespace: ns})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	if err := conn.Insert("alpha", "alpha", "bravo"); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	top := decode[[]entryJSON](t, get(t, srv.URL+"/v1/t/"+ns+"/top?k=5"))
+	if len(top) != 2 || top[0].Key != "alpha" || top[0].Frequency != 2 ||
+		top[1].Key != "bravo" {
+		t.Fatalf("top of %d-byte namespace = %+v", len(ns), top)
 	}
 }

@@ -178,8 +178,7 @@ type Route struct {
 	Method string
 	// Pattern is the ServeMux pattern ({ns} is the namespace wildcard).
 	Pattern string
-	// Legacy marks the deprecated un-namespaced aliases of default-tenant
-	// routes.
+	// Legacy marks the un-namespaced aliases of default-tenant routes.
 	Legacy bool
 }
 

@@ -37,13 +37,16 @@ import (
 // serve; the server pins it at startup and it cannot be deleted.
 const DefaultNamespace = "default"
 
-// ValidNamespace reports whether ns is a legal tenant namespace: 1–64
-// characters of lowercase letters, digits, '.', '_' or '-', starting with
-// a letter or digit. The charset is path-safe by construction — a
-// namespace is also a snapshot directory name — and the leading-alnum
-// rule keeps dot-names like ".." unrepresentable.
+// MaxNamespaceBytes is the longest legal tenant namespace.
+const MaxNamespaceBytes = 64
+
+// ValidNamespace reports whether ns is a legal tenant namespace: 1 to
+// MaxNamespaceBytes characters of lowercase letters, digits, '.', '_' or
+// '-', starting with a letter or digit. The charset is path-safe by
+// construction — a namespace is also a snapshot directory name — and the
+// leading-alnum rule keeps dot-names like ".." unrepresentable.
 func ValidNamespace(ns string) bool {
-	if len(ns) == 0 || len(ns) > 64 {
+	if len(ns) == 0 || len(ns) > MaxNamespaceBytes {
 		return false
 	}
 	for i := 0; i < len(ns); i++ {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,9 +29,11 @@ func smallTracker() sigstream.Config {
 }
 
 func TestValidNamespace(t *testing.T) {
-	valid := []string{"a", "default", "team-1", "acme.prod", "x_y", "0abc"}
+	valid := []string{"a", "default", "team-1", "acme.prod", "x_y", "0abc",
+		strings.Repeat("a", MaxNamespaceBytes)}
 	invalid := []string{"", ".", "..", ".hidden", "-x", "_x", "UPPER", "a b",
-		"a/b", "a\\b", string(make([]byte, 65)), "café"}
+		"a/b", "a\\b", string(make([]byte, 65)), "café",
+		strings.Repeat("a", MaxNamespaceBytes+1)}
 	for _, ns := range valid {
 		if !ValidNamespace(ns) {
 			t.Errorf("ValidNamespace(%q) = false, want true", ns)

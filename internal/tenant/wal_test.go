@@ -1,8 +1,11 @@
 package tenant
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -419,4 +422,132 @@ func TestWALStatsSurface(t *testing.T) {
 	if st.Appends != 2 || st.Syncs == 0 || st.DiskBytes == 0 {
 		t.Fatalf("unexpected WAL stats: %+v", st)
 	}
+}
+
+// TestIngestWireMatchesIngest feeds one stream, with period closes,
+// through Ingest on one WAL-enabled tenant and through IngestWire on
+// another: once as unit-weight records (nil Weights) and once as weighted
+// records whose weights equal Ingest's repeats. The two entry points must
+// leave byte-identical checkpoint images, the same key names and
+// byte-identical WAL segments, so tests and the ledger that drive Ingest
+// speak for the binary path too.
+func TestIngestWireMatchesIngest(t *testing.T) {
+	type record struct {
+		key string
+		w   uint32
+	}
+	// Four periods of three batches over 3000 keys: enough churn in a
+	// 16 KiB tracker to exercise admission and replacement.
+	rng := rand.New(rand.NewSource(7))
+	var periods [][][]record
+	for p := 0; p < 4; p++ {
+		var batches [][]record
+		for b := 0; b < 3; b++ {
+			var batch []record
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(3000)))
+				batch = append(batch, record{key, uint32(1 + rng.Intn(4))})
+			}
+			batches = append(batches, batch)
+		}
+		periods = append(periods, batches)
+	}
+
+	for _, weighted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("weighted=%v", weighted), func(t *testing.T) {
+			cfg := walConfig(t)
+			r := NewRegistry(cfg)
+			defer r.Close()
+			text, err := r.GetOrCreate("text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := r.GetOrCreate("wire")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batches := range periods {
+				for _, batch := range batches {
+					var keys []string
+					var b WireBatch
+					for _, rec := range batch {
+						item := sigstream.HashKey(rec.key)
+						for j := uint32(0); j < rec.w; j++ {
+							keys = append(keys, rec.key)
+							b.Items = append(b.Items, item)
+							if !weighted {
+								b.Keys = append(b.Keys, []byte(rec.key))
+							}
+						}
+						if weighted {
+							b.Keys = append(b.Keys, []byte(rec.key))
+							b.Weights = append(b.Weights, rec.w)
+						}
+					}
+					if n, err := text.Ingest(keys); err != nil || n != len(keys) {
+						t.Fatalf("Ingest = %d, %v", n, err)
+					}
+					if n, err := wire.IngestWire(b); err != nil || n != len(keys) {
+						t.Fatalf("IngestWire = %d, %v", n, err)
+					}
+				}
+				for _, tn := range []*Tenant{text, wire} {
+					if _, err := tn.EndPeriod(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			imgText, err := text.CheckpointImage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			imgWire, err := wire.CheckpointImage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(imgText, imgWire) {
+				t.Fatalf("checkpoint images diverge: %d vs %d bytes", len(imgText), len(imgWire))
+			}
+			if nt, nw := keyNamesByItem(text), keyNamesByItem(wire); !reflect.DeepEqual(nt, nw) {
+				t.Fatalf("key names diverge: %d via Ingest, %d via IngestWire", len(nt), len(nw))
+			}
+			segText, segWire := walSegments(t, cfg, "text"), walSegments(t, cfg, "wire")
+			if len(segText) == 0 {
+				t.Fatal("no WAL segments written")
+			}
+			if !reflect.DeepEqual(segText, segWire) {
+				t.Fatal("WAL segments diverge between Ingest and IngestWire")
+			}
+		})
+	}
+}
+
+// keyNamesByItem copies a tenant's interned key names.
+func keyNamesByItem(tn *Tenant) map[sigstream.Item]string {
+	tn.keysMu.Lock()
+	defer tn.keysMu.Unlock()
+	names := make(map[sigstream.Item]string, tn.keys.Len())
+	tn.keys.Range(func(item sigstream.Item, key string) bool {
+		names[item] = key
+		return true
+	})
+	return names
+}
+
+// walSegments reads every file in a tenant's WAL directory, by name.
+func walSegments(t *testing.T, cfg Config, ns string) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join(cfg.WALDir, ns)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if segs[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return segs
 }

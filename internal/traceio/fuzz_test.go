@@ -37,6 +37,8 @@ func FuzzReadText(f *testing.F) {
 func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("SGTR"))
 	f.Add([]byte{})
+	// A header claiming 2.5 G items over an empty body.
+	f.Add([]byte("SGTR\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x18\x95"))
 	var buf bytes.Buffer
 	_ = WriteBinary(&buf, sample())
 	f.Add(buf.Bytes())

@@ -98,6 +98,9 @@ func ReadText(r io.Reader, fallbackPeriodItems int) (*stream.Stream, error) {
 	return s, nil
 }
 
+// maxPrealloc caps the items ReadBinary allocates up front (8 MiB).
+const maxPrealloc = 1 << 20
+
 // ReadBinary parses a WriteBinary trace.
 func ReadBinary(r io.Reader) (*stream.Stream, error) {
 	br := bufio.NewReader(r)
@@ -113,13 +116,16 @@ func ReadBinary(r io.Reader) (*stream.Stream, error) {
 	}
 	periods := int(binary.LittleEndian.Uint32(hdr[8:]))
 	n := int(binary.LittleEndian.Uint32(hdr[12:]))
-	items := make([]stream.Item, n)
+	// The header's count is untrusted: a forged one must not allocate
+	// gigabytes before the body shows it is short, so the slice grows
+	// with the items actually read beyond the first maxPrealloc.
+	items := make([]stream.Item, 0, min(n, maxPrealloc))
 	var buf [8]byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("traceio: truncated at item %d: %w", i, err)
 		}
-		items[i] = binary.LittleEndian.Uint64(buf[:])
+		items = append(items, binary.LittleEndian.Uint64(buf[:]))
 	}
 	if periods < 1 {
 		periods = 1

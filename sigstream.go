@@ -45,7 +45,7 @@ func (w Weights) Significance(f, p uint64) float64 {
 }
 
 // Tracker is the interface implemented by every algorithm in this package:
-// LTC (New) and all baselines (NewSpaceSaving, NewCMSketch, NewPIE, …).
+// LTC (New) and all baselines (NewBaseline).
 //
 // Feed arrivals with Insert; mark each period boundary with EndPeriod,
 // including after the final period. Query and TopK may be called at any

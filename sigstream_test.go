@@ -43,19 +43,19 @@ func TestAllConstructorsSatisfyTracker(t *testing.T) {
 	k := 10
 	trackers := []Tracker{
 		New(Config{MemoryBytes: 4096, Weights: Balanced}),
-		NewSpaceSaving(4096, 1),
-		NewLossyCounting(4096, 1),
-		NewFrequentSketch(CM, 4096, k, 1),
-		NewFrequentSketch(CU, 4096, k, 1),
-		NewFrequentSketch(Count, 4096, k, 1),
-		NewPersistentSketch(CM, 4096, k, 1),
-		NewPersistentSketch(CU, 4096, k, 1),
-		NewPersistentSketch(Count, 4096, k, 1),
-		NewSignificantSketch(CM, 8192, k, Balanced),
-		NewSignificantSketch(CU, 8192, k, Balanced),
-		NewPIE(4096, 1),
-		NewMisraGries(4096, 1),
-		NewSampling(8192, 20, Balanced),
+		NewBaseline(SpaceSaving, Config{MemoryBytes: 4096, Weights: Weights{Alpha: 1}}),
+		NewBaseline(LossyCounting, Config{MemoryBytes: 4096, Weights: Weights{Alpha: 1}}),
+		NewBaseline(FrequentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: CM, Weights: Weights{Alpha: 1}}),
+		NewBaseline(FrequentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: CU, Weights: Weights{Alpha: 1}}),
+		NewBaseline(FrequentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: Count, Weights: Weights{Alpha: 1}}),
+		NewBaseline(PersistentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: CM, Weights: Weights{Beta: 1}}),
+		NewBaseline(PersistentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: CU, Weights: Weights{Beta: 1}}),
+		NewBaseline(PersistentSketch, Config{MemoryBytes: 4096, TopK: k, Sketch: Count, Weights: Weights{Beta: 1}}),
+		NewBaseline(SignificantSketch, Config{MemoryBytes: 8192, TopK: k, Sketch: CM, Weights: Balanced}),
+		NewBaseline(SignificantSketch, Config{MemoryBytes: 8192, TopK: k, Sketch: CU, Weights: Balanced}),
+		NewBaseline(PIE, Config{MemoryBytes: 4096, Weights: Weights{Beta: 1}}),
+		NewBaseline(MisraGries, Config{MemoryBytes: 4096, Weights: Weights{Alpha: 1}}),
+		NewBaseline(Sampling, Config{MemoryBytes: 8192, ExpectedDistinct: 20, Weights: Balanced}),
 		NewWindow(Config{MemoryBytes: 16 << 10}, 8, 2),
 	}
 	seen := map[string]bool{}

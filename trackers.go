@@ -190,9 +190,6 @@ func (k BaselineKind) String() string {
 // tune the kinds that use them. Zero fields take their documented
 // defaults; NewBaseline panics if cfg is invalid or kind is unknown
 // (pre-check untrusted input with Config.Validate).
-//
-// It replaces the eight positional-argument constructors (NewSpaceSaving,
-// NewPIE, …), which remain as thin deprecated wrappers.
 func NewBaseline(kind BaselineKind, cfg Config) Tracker {
 	cfg = cfg.withDefaults()
 	mustValidate(cfg)

@@ -96,8 +96,7 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 }
 
 // TestNewBaselineDefaultsAndKinds smoke-tests every kind through the
-// unified constructor with a zero config and checks the deprecated
-// positional constructors build the same algorithm.
+// unified constructor with a zero config.
 func TestNewBaselineDefaultsAndKinds(t *testing.T) {
 	for _, kind := range Baselines() {
 		tr := NewBaseline(kind, Config{})
@@ -107,27 +106,5 @@ func TestNewBaselineDefaultsAndKinds(t *testing.T) {
 		}
 		tr.Insert(1)
 		tr.EndPeriod()
-	}
-	pairs := []struct {
-		kind       BaselineKind
-		deprecated Tracker
-	}{
-		{SpaceSaving, NewSpaceSaving(8<<10, 1)},
-		{LossyCounting, NewLossyCounting(8<<10, 1)},
-		{MisraGries, NewMisraGries(8<<10, 1)},
-		{FrequentSketch, NewFrequentSketch(CU, 8<<10, 50, 1)},
-		{PersistentSketch, NewPersistentSketch(CU, 8<<10, 50, 1)},
-		{SignificantSketch, NewSignificantSketch(CU, 8<<10, 50, Balanced)},
-		{PIE, NewPIE(8<<10, 1)},
-		{Sampling, NewSampling(8<<10, 1000, Balanced)},
-	}
-	for _, p := range pairs {
-		unified := NewBaseline(p.kind, Config{MemoryBytes: 8 << 10, TopK: 50,
-			Sketch: CU, ExpectedDistinct: 1000,
-			Weights: Weights{Alpha: 1, Beta: 1}})
-		if unified.Name() != p.deprecated.Name() {
-			t.Fatalf("%v: NewBaseline built %q, deprecated wrapper built %q",
-				p.kind, unified.Name(), p.deprecated.Name())
-		}
 	}
 }
