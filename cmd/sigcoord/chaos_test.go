@@ -108,7 +108,7 @@ type clusterUnderTest struct {
 	sigserver, sigcoord string
 	nodeAddrs           []string // host:port
 	sites               []string // http://host:port
-	snapDirs            []string
+	snapDirs, walDirs   []string
 	nodes               []*proc
 	coordAddr           string
 	coordProc           *proc
@@ -132,6 +132,7 @@ func startCluster(t *testing.T) *clusterUnderTest {
 		cu.nodeAddrs = append(cu.nodeAddrs, addr)
 		cu.sites = append(cu.sites, "http://"+addr)
 		cu.snapDirs = append(cu.snapDirs, t.TempDir())
+		cu.walDirs = append(cu.walDirs, t.TempDir())
 		cu.nodes = append(cu.nodes, cu.startNode(t, i))
 	}
 	for _, site := range cu.sites {
@@ -149,8 +150,10 @@ func startCluster(t *testing.T) *clusterUnderTest {
 	return cu
 }
 
-// startNode launches node i on its fixed address and snapshot dir, so a
-// restart is the same node rejoining, state included.
+// startNode launches node i on its fixed address, snapshot dir and WAL
+// dir, so a restart is the same node rejoining, state included: every
+// acked insert is in the log, even one no snapshot covered before the
+// kill.
 func (cu *clusterUnderTest) startNode(t *testing.T, i int) *proc {
 	t.Helper()
 	return startProc(t, cu.sigserver,
@@ -158,6 +161,7 @@ func (cu *clusterUnderTest) startNode(t *testing.T, i int) *proc {
 		"-mem", "262144",
 		"-tenant-mem", "65536",
 		"-snapshot-dir", cu.snapDirs[i],
+		"-wal-dir", cu.walDirs[i],
 		"-snapshot-interval", "200ms",
 		"-log-level", "error",
 	)
@@ -330,8 +334,8 @@ func TestChaosClusterNodeDeathMatrix(t *testing.T) {
 			t.Fatalf("recall %.2f after node %d death, want >= 0.90", r, victim)
 		}
 
-		// Restart: same address, same snapshot dir. The breaker must
-		// probe it back in and the site report healthy again.
+		// Restart: same address, same snapshot and WAL dirs. The breaker
+		// must probe it back in and the site report healthy again.
 		cu.nodes[victim] = cu.startNode(t, victim)
 		waitFor(t, cu.sites[victim]+"/readyz", http.StatusOK, 15*time.Second)
 		deadline = time.Now().Add(15 * time.Second)

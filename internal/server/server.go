@@ -41,14 +41,15 @@
 // transparently, bit-identical, on the next touch. Per-tenant token
 // buckets answer a quota breach with 429 + Retry-After, the same
 // contract as the pipeline load-shed gate, so one noisy namespace cannot
-// starve another. The default tenant is pinned: always resident, outside
+// starve another. The default tenant is pinned: never spilled, outside
 // budget and quota, carrying the exact single-tenant semantics this
 // server had before namespaces (including the optional pipelined ingest
 // path with self-healing workers and high-water load shedding).
 //
-// Fault tolerance: StartSnapshots recovers every namespace from disk at
-// startup (newest valid checkpoint each; legacy root-level snapshot
-// files recover into the default tenant), then checkpoints dirty tenants
+// Fault tolerance: StartSnapshots loads the default tenant from disk at
+// startup (newest valid checkpoint, then its WAL tail; legacy root-level
+// snapshot files recover into it) and registers every other namespace
+// found there to load on first touch, then checkpoints dirty tenants
 // periodically and once more on Close.
 package server
 

@@ -195,9 +195,10 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	s := New(Config{})
-	ts, ok := s.def.TrackerStats()
-	if !ok || ts.MemoryBytes <= 0 {
-		t.Fatal("no default memory")
+	// The pinned default tenant loads on first use; Stats loads it.
+	st, err := s.def.Stats()
+	if err != nil || st.Tracker.MemoryBytes <= 0 {
+		t.Fatalf("no default memory: %+v, %v", st.Tracker, err)
 	}
 	if s.tenants.CostPerTenant() <= 0 {
 		t.Fatal("no tenant cost priced")

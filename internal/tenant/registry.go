@@ -9,11 +9,14 @@
 // namespace cannot starve the rest; the HTTP layer maps a quota denial to
 // 429 + Retry-After, the same contract as the pipeline load-shed gate.
 //
-// The reserved default tenant is pinned: always resident, excluded from
+// The reserved default tenant is pinned: never spilled, excluded from
 // budget and quota, and optionally fronted by an asynchronous ingest
 // pipeline — it carries the exact single-tenant serving semantics the
 // server had before namespaces existed, so legacy un-namespaced routes
-// keep their behavior.
+// keep their behavior. Every tenant, pinned or not, loads through one
+// path: newest valid snapshot, geometry-checked restore, then WAL replay
+// from the snapshot's cut. A pinned tenant loads at AttachDir or on its
+// first touch, whichever comes first.
 package tenant
 
 import (
@@ -187,7 +190,10 @@ type Info struct {
 
 // PinOptions configures a pinned tenant: its own tracker geometry
 // (independent of the registry's per-tenant configuration) and an
-// optional asynchronous ingest pipeline with a load-shed gate.
+// optional asynchronous ingest pipeline with a load-shed gate. A pinned
+// tenant is never spilled and sits outside the budget and quota; it loads
+// at AttachDir or on first touch, and the pipeline starts on the loaded
+// tracker.
 type PinOptions struct {
 	// Tracker is the pinned tenant's tracker configuration.
 	Tracker sigstream.Config
@@ -269,7 +275,7 @@ func NewRegistry(cfg Config) *Registry {
 		// Register every namespace that left a log behind, so its tail
 		// replays on first touch instead of lying orphaned — the WAL
 		// counterpart of AttachDir's spilled-tenant scan. The default
-		// namespace is pinned later and recovers its own log then.
+		// namespace is left for Pin, which refuses an existing one.
 		entries, err := os.ReadDir(cfg.WALDir)
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			r.logger.Warn("tenant: cannot scan wal dir", "dir", cfg.WALDir, "err", err)
@@ -293,8 +299,7 @@ func (r *Registry) baseDir() string {
 
 // walBase reports the write-ahead log base directory ("" = no WAL).
 // Unlike Dir (mutated by AttachDir), the WAL configuration is immutable
-// after NewRegistry, so no lock is needed — which also lets Pin call it
-// while holding mu.
+// after NewRegistry, so no lock is needed.
 func (r *Registry) walBase() string {
 	return r.cfg.WALDir
 }
@@ -375,14 +380,18 @@ func (r *Registry) GetOrCreate(ns string) (*Tenant, error) {
 	return r.newTenantLocked(ns), nil
 }
 
-// Pin registers a pinned tenant: always resident, outside the budget,
-// quota and idle sweep, with its own tracker geometry and optional ingest
-// pipeline. The server pins DefaultNamespace at startup so legacy routes
-// keep single-tenant semantics. Pinning an existing namespace is an
-// error.
+// Pin registers a pinned tenant: never spilled, outside the budget, quota
+// and idle sweep, with its own tracker geometry and optional ingest
+// pipeline. Pin does no I/O; the tenant loads at AttachDir or on first
+// touch, like any other. The server pins DefaultNamespace at startup so
+// legacy routes keep single-tenant semantics. Pinning an existing
+// namespace is an error, as is an invalid opts.Tracker.
 func (r *Registry) Pin(ns string, opts PinOptions) (*Tenant, error) {
 	if !ValidNamespace(ns) {
 		return nil, ErrBadNamespace
+	}
+	if err := opts.Tracker.Validate(); err != nil {
+		return nil, fmt.Errorf("tenant: pin %q: %w", ns, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -392,43 +401,8 @@ func (r *Registry) Pin(ns string, opts PinOptions) (*Tenant, error) {
 	if _, ok := r.tenants[ns]; ok {
 		return nil, fmt.Errorf("tenant: namespace %q already exists", ns)
 	}
-	t := &Tenant{ns: ns, reg: r, pinned: true, pin: opts}
-	t.tracker = sigstream.NewSharded(opts.Tracker, opts.Shards)
-	t.keys = sigstream.NewKeyMap()
-	if r.cfg.WALDir != "" {
-		// Open the namespace's log and replay it whole, so a pinned
-		// tenant killed before its first snapshot still comes back with
-		// every acknowledged batch. AttachDir's recoverPinned, when
-		// durability is layered on later, rebuilds from the snapshot and
-		// replays only the tail.
-		l, err := t.openWAL()
-		if err != nil {
-			return nil, err
-		}
-		replayed, n, err := t.replayWAL(l, 0, t.tracker, t.keys)
-		if err != nil {
-			_ = l.Close()
-			return nil, err
-		}
-		t.tracker = replayed
-		t.wal = l
-		st := replayed.Stats()
-		t.arrivals.Store(st.Arrivals)
-		t.periods.Store(st.Periods)
-		if n > 0 {
-			t.lastRecovery = fmt.Sprintf("replayed %d wal records", n)
-			r.logger.Info("tenant: replayed wal", "tenant", ns, "records", n)
-		}
-	}
-	if opts.Pipeline {
-		t.pipeline = t.tracker.Pipeline(opts.PipelineOptions)
-		if opts.ShedHighWater > 0 {
-			t.shed = max(1, int(opts.ShedHighWater*float64(t.pipeline.RingCapacity())))
-		}
-	}
-	t.resident.Store(true)
-	t.lastTouch.Store(r.clock().UnixNano())
-	r.tenants[ns] = t
+	t := r.newTenantLocked(ns)
+	t.pinned, t.pin = true, opts
 	return t, nil
 }
 
@@ -449,15 +423,10 @@ func (r *Registry) Delete(ns string) error {
 	}
 	t.deleted.Store(true)
 	wasResident := t.resident.Load()
-	t.closeWAL()
-	t.tracker = nil
-	t.keysMu.Lock()
-	t.keys = nil
-	t.keysMu.Unlock()
-	t.resident.Store(false)
+	t.unloadLocked()
 	t.mu.Unlock()
 	if wasResident {
-		r.release()
+		r.release(t)
 	}
 	r.mu.Lock()
 	if cur, ok := r.tenants[ns]; ok && cur == t {
@@ -545,21 +514,22 @@ func (r *Registry) Stats() RegistryStats {
 
 // reserve charges one tenant's cost against the budget, spilling the
 // least-recently-used resident tenants until the charge fits. Pinned
-// tenants are outside the budget and never reserve. With no spill
-// directory an over-budget charge is refused with ErrBudget; with one,
-// eviction only fails if every resident tenant is pinned, the requester,
-// or un-spillable — then the registry overcommits (logged) rather than
-// deadlock.
+// tenants are outside the budget and charge nothing, but a closed
+// registry refuses every load. With no spill directory an over-budget
+// charge is refused with ErrBudget; with one, eviction only fails if
+// every resident tenant is pinned, the requester, or un-spillable — then
+// the registry overcommits (logged) rather than deadlock.
 func (r *Registry) reserve(t *Tenant) error {
-	if t.pinned {
-		return nil
-	}
-	failed := make(map[*Tenant]bool)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return ErrClosed
 	}
+	if t.pinned {
+		r.mu.Unlock()
+		return nil
+	}
+	failed := make(map[*Tenant]bool)
 	r.residentBytes += r.cost
 	for r.cfg.BudgetBytes > 0 && r.residentBytes > r.cfg.BudgetBytes {
 		if r.cfg.Dir == "" {
@@ -585,9 +555,12 @@ func (r *Registry) reserve(t *Tenant) error {
 	return nil
 }
 
-// release returns one tenant's cost to the budget after a spill or
-// delete.
-func (r *Registry) release() {
+// release returns one tenant's cost to the budget after a spill, delete
+// or failed load; pinned tenants charged nothing.
+func (r *Registry) release(t *Tenant) {
+	if t.pinned {
+		return
+	}
 	r.mu.Lock()
 	r.residentBytes -= r.cost
 	r.mu.Unlock()
@@ -613,10 +586,10 @@ func (r *Registry) lruVictimLocked(requester *Tenant, skip map[*Tenant]bool) *Te
 
 // AttachDir wires durability into the registry after construction: set
 // the snapshot base directory, register every namespace already spilled
-// there (their trackers revive lazily on first touch), and recover each
-// pinned tenant's newest valid snapshot now — including, for the default
-// tenant, legacy root-level snapshot files from before the tenant
-// layout. Call it once, before Start and before serving traffic.
+// there (their trackers load lazily on first touch), and load each pinned
+// tenant now, rebuilding one touched earlier, so a recovery error fails
+// AttachDir instead of a later request. Call it once, before Start and
+// before serving traffic.
 func (r *Registry) AttachDir(dir string) error {
 	if dir == "" {
 		return errors.New("tenant: snapshot dir required")
@@ -647,7 +620,15 @@ func (r *Registry) AttachDir(dir string) error {
 		}
 	}
 	for _, t := range pinned {
-		if err := t.recoverPinned(dir); err != nil {
+		t.mu.Lock()
+		old := t.unloadLocked()
+		err := t.ensureResidentLocked()
+		t.mu.Unlock()
+		if old != nil {
+			// The retired pipeline drains into the discarded tracker.
+			_ = old.Close()
+		}
+		if err != nil {
 			return err
 		}
 	}

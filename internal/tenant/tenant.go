@@ -17,9 +17,9 @@ import (
 
 // Tenant is one namespace's tracker, key map and counters. Tenants are
 // created by a Registry and live in one of two residency states: resident
-// (tracker in memory) or spilled (state on disk, tracker freed). Every
-// data operation transparently revives a spilled tenant first, so callers
-// never observe the distinction except through Stats.
+// (tracker in memory) or not (state on disk or not yet loaded, tracker
+// freed). Every data operation transparently loads a non-resident tenant
+// first, so callers never observe the distinction except through Stats.
 //
 // All methods are safe for concurrent use. A tenant holds a read lock for
 // the duration of each data operation — the tracker itself is a
@@ -99,7 +99,7 @@ type Entry struct {
 type Stats struct {
 	// Namespace is the tenant's namespace.
 	Namespace string
-	// Pinned reports whether the tenant is pinned (always resident,
+	// Pinned reports whether the tenant is pinned (never spilled,
 	// outside the budget and quota).
 	Pinned bool
 	// Resident reports whether the tracker is currently in memory.
@@ -260,10 +260,15 @@ func (t *Tenant) acquire() error {
 	}
 }
 
-// ensureResidentLocked brings a spilled tenant back into memory: reserve
-// budget (evicting colder tenants if needed), recover the newest valid
-// spill image from disk — or start fresh when there is none — and install
-// the tracker. Caller holds the write lock.
+// ensureResidentLocked is the one path that loads a tenant's state, pinned
+// or not, at first touch, after a spill, or when AttachDir rebuilds a
+// pinned tenant. It reserves budget (evicting colder tenants if needed;
+// pinned tenants sit outside the budget), recovers the newest valid
+// snapshot (for the pinned default tenant, falling back to the legacy
+// snapshot files at the root of the snapshot directory) or starts fresh
+// when there is none, replays the WAL tail past the snapshot's cut, and
+// installs the tracker, fronted by a pinned tenant's ingest pipeline when
+// configured. Caller holds the write lock.
 func (t *Tenant) ensureResidentLocked() error {
 	if t.deleted.Load() {
 		return ErrNotFound
@@ -279,7 +284,7 @@ func (t *Tenant) ensureResidentLocked() error {
 	var cut uint64
 	recovery := "fresh"
 	fail := func(err error) error {
-		t.reg.release()
+		t.reg.release(t)
 		t.saveMu.Lock()
 		t.lastRecovery = "failed: " + err.Error()
 		t.saveMu.Unlock()
@@ -287,29 +292,33 @@ func (t *Tenant) ensureResidentLocked() error {
 	}
 	if dir := t.dir(); dir != "" {
 		payload, file, err := snapshot.Recover(dir, t.reg.logger)
-		if err == nil && payload != nil {
-			var km *sigstream.KeyMap
-			var img []byte
-			km, img, cut, err = decodeEnvelope(payload)
-			if err == nil {
-				tracker, _, err = t.restoreInto(img)
-				if err == nil {
-					keys = km
-					t.reviveCount.Add(1)
-					t.reg.revives.Add(1)
-					recovery = "recovered " + file
-				}
-			}
+		if err == nil && payload == nil && t.pinned && t.ns == DefaultNamespace {
+			// Snapshots written before the tenant layout existed sit at
+			// the root of the snapshot directory.
+			payload, file, err = snapshot.Recover(filepath.Dir(dir), t.reg.logger)
 		}
 		if err != nil {
 			return fail(err)
+		}
+		if payload != nil {
+			km, img, c, err := decodeEnvelope(payload)
+			if err == nil {
+				tracker, _, err = t.restoreInto(img)
+			}
+			if err != nil {
+				return fail(fmt.Errorf("tenant %s: restore snapshot %s: %w", t.ns, file, err))
+			}
+			keys, cut = km, c
+			t.reviveCount.Add(1)
+			t.reg.revives.Add(1)
+			recovery = "recovered " + file
 		}
 	}
 	if tracker == nil {
 		tracker = t.newTracker()
 	}
-	// Replay the WAL tail past the snapshot cut, so the revived tenant
-	// lands on exactly the state whose appends were acknowledged.
+	// Replay the WAL tail past the snapshot cut, so the tenant lands on
+	// exactly the state whose appends were acknowledged.
 	l, err := t.openWAL()
 	if err != nil {
 		return fail(err)
@@ -329,6 +338,12 @@ func (t *Tenant) ensureResidentLocked() error {
 	t.arrivals.Store(st.Arrivals)
 	t.periods.Store(st.Periods)
 	t.tracker = tracker
+	if t.pin.Pipeline {
+		t.pipeline = tracker.Pipeline(t.pin.PipelineOptions)
+		if t.pin.ShedHighWater > 0 {
+			t.shed = max(1, int(t.pin.ShedHighWater*float64(t.pipeline.RingCapacity())))
+		}
+	}
 	t.wal = l
 	t.walCuts = nil
 	if cut > 0 {
@@ -343,6 +358,21 @@ func (t *Tenant) ensureResidentLocked() error {
 	t.dirty.Store(false)
 	t.resident.Store(true)
 	return nil
+}
+
+// unloadLocked frees a resident tenant's tracker, key map and log, and
+// returns its ingest pipeline, if any, for the caller to drain once the
+// lock is released. Budget accounting is the caller's. Caller holds the
+// write lock.
+func (t *Tenant) unloadLocked() *sigstream.Pipeline {
+	p := t.pipeline
+	t.closeWAL()
+	t.tracker, t.pipeline = nil, nil
+	t.keysMu.Lock()
+	t.keys = nil
+	t.keysMu.Unlock()
+	t.resident.Store(false)
+	return p
 }
 
 // newTracker builds an empty tracker from the tenant's configuration;
@@ -423,55 +453,20 @@ func (t *Tenant) Overloaded() bool {
 	return false
 }
 
-// Ingest records one arrival per key, in order: intern the keys, charge
-// the tenant's quota (one token per key; pinned tenants are exempt),
-// append the batch to the write-ahead log (when configured) and feed it
-// to the pipeline (pinned, when configured) or directly to the tracker.
-// It reports the number of arrivals accepted — all of them, or none with
-// a QuotaError carrying the retry hint. With a WAL, a successful return
-// means the batch is fsynced: a crash after the ack replays it; an error
-// means the batch was neither logged nor applied.
+// Ingest records one arrival per key, in order: it is IngestWire for a
+// batch of unit-weight string keys, with the same quota, WAL and apply
+// discipline and the same logged bytes. It reports the number of arrivals
+// accepted — all of them, or none with a QuotaError carrying the retry
+// hint. With a WAL, a successful return means the batch is fsynced: a
+// crash after the ack replays it; an error means the batch was neither
+// logged nor applied.
 func (t *Tenant) Ingest(keys []string) (int, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	if err := t.acquire(); err != nil {
-		return 0, err
-	}
-	defer t.mu.RUnlock()
-	if !t.pinned && t.reg.cfg.QuotaPerSec > 0 {
-		if retry, ok := t.allow(len(keys)); !ok {
-			t.quotaDenials.Add(1)
-			t.reg.quotaDenied.Add(1)
-			return 0, &QuotaError{RetryAfter: retry}
-		}
-	}
-	if t.wal != nil {
-		// Append and apply under the WAL gate, so a snapshot cut can
-		// never land between a batch's record and its tracker effect.
-		t.walMu.RLock()
-		defer t.walMu.RUnlock()
-		if err := t.wal.Append(wal.EncodeBatch(keys)); err != nil {
-			return 0, fmt.Errorf("tenant %s: %w", t.ns, err)
-		}
-	}
-	items := make([]sigstream.Item, len(keys))
-	t.keysMu.Lock()
+	b := WireBatch{Keys: make([][]byte, len(keys)), Items: make([]sigstream.Item, len(keys))}
 	for i, k := range keys {
-		items[i] = t.keys.Intern(k)
+		b.Keys[i] = []byte(k)
+		b.Items[i] = sigstream.HashKeyBytes(b.Keys[i])
 	}
-	t.keysMu.Unlock()
-	if t.pipeline != nil {
-		if err := t.pipeline.Submit(items); err != nil {
-			return 0, err
-		}
-	} else {
-		t.tracker.InsertBatch(items)
-	}
-	t.arrivals.Add(uint64(len(keys)))
-	t.dirty.Store(true)
-	t.touch()
-	return len(keys), nil
+	return t.IngestWire(b)
 }
 
 // WireBatch is one decoded ingest batch in the tenant's native currency:
@@ -489,13 +484,13 @@ type WireBatch struct {
 	Items   []sigstream.Item
 }
 
-// IngestWire records b's arrivals, in order, with exactly Ingest's quota,
-// WAL and apply discipline: charge one token per arrival, append one
-// RecordBatch holding the weight-expanded key sequence (bit-identical to
-// what Ingest would log for the same arrivals), note key names on first
-// sight, and feed Items to the pipeline or tracker. With a WAL a
-// successful return means the batch is fsynced; on error nothing was
-// logged or applied.
+// IngestWire records b's arrivals, in order: charge the tenant's quota one
+// token per arrival (pinned tenants are exempt), append one RecordBatch
+// holding the weight-expanded key sequence to the write-ahead log (when
+// configured), note key names on first sight, and feed Items to the
+// pipeline (pinned, when configured) or directly to the tracker. With a
+// WAL a successful return means the batch is fsynced; on error nothing
+// was logged or applied.
 func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 	if len(b.Items) == 0 {
 		return 0, nil
@@ -810,15 +805,10 @@ func (t *Tenant) Spill() (bool, error) {
 			return false, err
 		}
 	}
-	t.closeWAL()
-	t.tracker = nil
-	t.keysMu.Lock()
-	t.keys = nil
-	t.keysMu.Unlock()
-	t.resident.Store(false)
+	t.unloadLocked()
 	t.spillCount.Add(1)
 	t.reg.spills.Add(1)
-	t.reg.release()
+	t.reg.release(t)
 	return true, nil
 }
 
@@ -931,102 +921,4 @@ func (t *Tenant) saveRLocked() (string, error) {
 		t.wal.TruncateBefore(t.walCuts[0])
 	}
 	return name, nil
-}
-
-// recoverPinned loads a pinned tenant's newest valid snapshot at startup:
-// first from its own directory, then — for the default tenant only —
-// from legacy root-level snapshot files written before the tenant layout
-// existed. With a WAL the recovered image is then rolled forward through
-// the log tail past the snapshot's cut (the log opened at Pin time, which
-// replayed from record zero, is closed and rebuilt against the snapshot).
-// No snapshot and no WAL recovers nothing and is not an error.
-func (t *Tenant) recoverPinned(base string) error {
-	t.mu.Lock()
-	fail := func(file string, err error) error {
-		t.saveMu.Lock()
-		t.lastRecovery = "failed: " + err.Error()
-		t.saveMu.Unlock()
-		t.mu.Unlock()
-		return fmt.Errorf("tenant %s: restore snapshot %s: %w", t.ns, file, err)
-	}
-	payload, file, err := snapshot.Recover(filepath.Join(base, t.ns), t.reg.logger)
-	if err == nil && payload == nil && t.ns == DefaultNamespace {
-		payload, file, err = snapshot.Recover(base, t.reg.logger)
-	}
-	var fresh *sigstream.Sharded
-	km := sigstream.NewKeyMap()
-	var cut uint64
-	if err == nil && payload != nil {
-		var img []byte
-		if km, img, cut, err = decodeEnvelope(payload); err == nil {
-			fresh, _, err = t.restoreInto(img)
-		}
-	}
-	if err != nil {
-		return fail(file, err)
-	}
-	recovery := "fresh"
-	revived := payload != nil
-	if revived {
-		recovery = "recovered " + file
-	}
-	if fresh == nil && t.wal == nil {
-		// Nothing on disk: the Pin-time state stands.
-		t.saveMu.Lock()
-		t.lastRecovery = recovery
-		t.saveMu.Unlock()
-		t.mu.Unlock()
-		return nil
-	}
-	if fresh == nil {
-		fresh = t.newTracker()
-	}
-	t.closeWAL()
-	l, err := t.openWAL()
-	if err != nil {
-		return fail(file, err)
-	}
-	replayed := 0
-	if l != nil {
-		var rerr error
-		fresh, replayed, rerr = t.replayWAL(l, cut, fresh, km)
-		if rerr != nil {
-			_ = l.Close()
-			return fail(file, rerr)
-		}
-		if replayed > 0 {
-			recovery += fmt.Sprintf(" +%d wal records", replayed)
-		}
-	}
-	old := t.pipeline
-	if old != nil {
-		t.pipeline = fresh.Pipeline(t.pin.PipelineOptions)
-	}
-	t.tracker = fresh
-	t.keysMu.Lock()
-	t.keys = km
-	t.keysMu.Unlock()
-	st := fresh.Stats()
-	t.arrivals.Store(st.Arrivals)
-	t.periods.Store(st.Periods)
-	if revived {
-		t.reviveCount.Add(1)
-	}
-	t.wal = l
-	t.walCuts = nil
-	if cut > 0 {
-		t.walCuts = []uint64{cut}
-	}
-	t.saveMu.Lock()
-	t.lastRecovery = recovery
-	t.saveMu.Unlock()
-	t.mu.Unlock()
-	if old != nil {
-		_ = old.Close()
-	}
-	if revived || replayed > 0 {
-		t.reg.logger.Info("tenant: recovered state",
-			"tenant", t.ns, "file", file, "wal_records", replayed)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"sigstream"
 	"sigstream/internal/fault"
+	"sigstream/internal/snapshot"
 	"sigstream/internal/wal"
 )
 
@@ -380,7 +382,8 @@ func TestWALPinnedDefaultReplay(t *testing.T) {
 	}
 	feed(t, def, [][]string{{"pinned", "pinned", "other"}})
 	want := topKeys(t, def, 10)
-	// New process: Pin replays the default namespace's log from zero.
+	// New process: the first touch loads the pinned tenant, replaying the
+	// default namespace's log from zero (no snapshot was taken).
 	r2 := NewRegistry(cfg)
 	defer r2.Close()
 	def2, err := r2.Pin(DefaultNamespace, PinOptions{Tracker: cfg.Tracker, Shards: 1})
@@ -390,8 +393,8 @@ func TestWALPinnedDefaultReplay(t *testing.T) {
 	if got := topKeys(t, def2, 10); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pinned replay rankings %v, want %v", got, want)
 	}
-	// Layer snapshots on: recoverPinned must rebuild snapshot + tail with
-	// the same result, not double-apply.
+	// Layer snapshots on: AttachDir must rebuild the touched tenant from
+	// snapshot + tail with the same result, not double-apply.
 	if err := r2.AttachDir(cfg.Dir); err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +403,157 @@ func TestWALPinnedDefaultReplay(t *testing.T) {
 	}
 	if a := def2.Arrivals(); a != 3 {
 		t.Fatalf("Arrivals = %d, want 3 (double replay?)", a)
+	}
+}
+
+// TestWALPinnedRestartReplaysOnce restarts a pinned default tenant the
+// way the server does (WAL configured up front, snapshots attached after
+// Pin) from three retained snapshots and a 25-batch log tail. Pin must
+// load nothing; AttachDir must load the newest snapshot and replay only
+// the tail past its cut, landing on exactly the acknowledged stream.
+func TestWALPinnedRestartReplaysOnce(t *testing.T) {
+	cfg := Config{
+		Tracker: smallTracker(),
+		Shards:  1,
+		WALDir:  filepath.Join(t.TempDir(), "wal"),
+		Logger:  quietLogger(),
+	}
+	snapDir := filepath.Join(t.TempDir(), "snap")
+	pin := PinOptions{Tracker: cfg.Tracker, Shards: 1}
+	r := NewRegistry(cfg)
+	r.SetRetain(3)
+	def, err := r.Pin(DefaultNamespace, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AttachDir(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	var stream [][]string
+	ingest := func(batches int) {
+		t.Helper()
+		for i := 0; i < batches; i++ {
+			n := len(stream)
+			b := []string{fmt.Sprintf("k%d", n%7), fmt.Sprintf("k%d", n%13)}
+			stream = append(stream, b)
+			feed(t, def, [][]string{b})
+		}
+	}
+	var newest string
+	for round := 0; round < 3; round++ {
+		ingest(40)
+		name, err := def.Save()
+		if err != nil || name == "" {
+			t.Fatalf("Save = %q, %v", name, err)
+		}
+		newest = name
+	}
+	ingest(25)
+	// Abandon the registry without Close: every batch was acked, so the
+	// three retained snapshots and the log tail are all on disk.
+
+	r2 := NewRegistry(cfg)
+	defer r2.Close()
+	r2.SetRetain(3)
+	def2, err := r2.Pin(DefaultNamespace, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def2.Resident() || def2.Arrivals() != 0 || def2.KeyCount() != 0 {
+		t.Fatalf("after Pin: resident=%v arrivals=%d keys=%d, want nothing loaded",
+			def2.Resident(), def2.Arrivals(), def2.KeyCount())
+	}
+	if _, ok := def2.TrackerStats(); ok {
+		t.Fatal("after Pin: tracker already built")
+	}
+	if err := r2.AttachDir(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	if !def2.Resident() {
+		t.Fatal("after AttachDir: pinned tenant not loaded")
+	}
+	want := oracleTopK(cfg, 20, func(tr *sigstream.Sharded, km *sigstream.KeyMap) {
+		for _, b := range stream {
+			insert(tr, km, b)
+		}
+	})
+	got, err := def2.TopK(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered TopK:\n got %+v\nwant %+v", got, want)
+	}
+	if a, w := def2.Arrivals(), uint64(2*len(stream)); a != w {
+		t.Fatalf("Arrivals = %d, want %d", a, w)
+	}
+	st, err := def2.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := "recovered " + newest + " +25 wal records"; st.LastRecovery != w {
+		t.Fatalf("LastRecovery = %q, want %q", st.LastRecovery, w)
+	}
+}
+
+// TestLegacyRootSnapshotRevivesDefault: a snapshot written at the root of
+// the snapshot directory, from before the tenant layout, revives into the
+// pinned default tenant, whether AttachDir loads it or the first touch
+// does from Config.Dir. Another pinned tenant does not pick it up.
+func TestLegacyRootSnapshotRevivesDefault(t *testing.T) {
+	cfg := smallTracker()
+	donor := sigstream.NewSharded(cfg, 1)
+	donor.Insert(sigstream.HashKey("legacy"))
+	donor.EndPeriod()
+	img, err := donor.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := PinOptions{Tracker: cfg, Shards: 1}
+	for _, attach := range []bool{true, false} {
+		t.Run(fmt.Sprintf("attach=%v", attach), func(t *testing.T) {
+			dir := t.TempDir()
+			file, err := snapshot.WriteFileTo(dir, 0, func(w io.Writer) error {
+				_, err := w.Write(img)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := Config{Tracker: cfg, Shards: 1, Logger: quietLogger()}
+			if !attach {
+				rc.Dir = dir
+			}
+			r := NewRegistry(rc)
+			defer r.Close()
+			def, err := r.Pin(DefaultNamespace, pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := r.Pin("other", pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attach {
+				if err := r.AttachDir(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, ok, err := def.Query("legacy")
+			if err != nil || !ok || e.Frequency != 1 || e.Persistency != 1 {
+				t.Fatalf("default Query(legacy) = %+v, %v, %v", e, ok, err)
+			}
+			st, err := def.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := "recovered " + file; st.LastRecovery != w || st.Revives != 1 {
+				t.Fatalf("LastRecovery = %q, Revives = %d; want %q, 1", st.LastRecovery, st.Revives, w)
+			}
+			if _, ok, err := other.Query("legacy"); err != nil || ok {
+				t.Fatalf("other pinned tenant revived the root snapshot: ok=%v err=%v", ok, err)
+			}
+		})
 	}
 }
 

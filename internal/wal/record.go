@@ -63,7 +63,9 @@ type Record struct {
 	Image []byte
 }
 
-// EncodeBatch renders an insert batch as a record payload.
+// EncodeBatch renders an insert batch as a record payload. Writers use
+// EncodeBatchRecords; EncodeBatch is the plain reference encoding that
+// the equivalence tests hold EncodeBatchRecords to, byte for byte.
 func EncodeBatch(keys []string) []byte {
 	size := 5
 	for _, k := range keys {

@@ -83,110 +83,6 @@ func (m *KeyMap) Range(fn func(item Item, key string) bool) {
 	}
 }
 
-// BoundedKeyMap is a KeyMap with a hard entry limit: when full, interning a
-// new key evicts the least-recently-used one. Use it on unbounded key
-// spaces (IPs, URLs) where a plain KeyMap would grow without limit; evicted
-// keys simply render as hex if they resurface in a ranking.
-type BoundedKeyMap struct {
-	max   int
-	names map[Item]*boundedEntry
-	// Intrusive LRU list: head = most recent, tail = eviction candidate.
-	head, tail *boundedEntry
-}
-
-type boundedEntry struct {
-	item       Item
-	key        string
-	prev, next *boundedEntry
-}
-
-// NewBoundedKeyMap creates a KeyMap holding at most max keys (minimum 1).
-func NewBoundedKeyMap(max int) *BoundedKeyMap {
-	if max < 1 {
-		max = 1
-	}
-	return &BoundedKeyMap{max: max, names: make(map[Item]*boundedEntry, max)}
-}
-
-// Intern hashes key, remembers the mapping (evicting the LRU entry when
-// full), and returns the Item.
-func (m *BoundedKeyMap) Intern(key string) Item {
-	it := HashKey(key)
-	if e, ok := m.names[it]; ok {
-		m.touch(e)
-		return it
-	}
-	if len(m.names) >= m.max {
-		victim := m.tail
-		m.unlink(victim)
-		delete(m.names, victim.item)
-	}
-	e := &boundedEntry{item: it, key: key}
-	m.names[it] = e
-	m.pushFront(e)
-	return it
-}
-
-// Lookup returns the string behind item, if still interned. A hit counts
-// as use for LRU purposes.
-func (m *BoundedKeyMap) Lookup(item Item) (string, bool) {
-	e, ok := m.names[item]
-	if !ok {
-		return "", false
-	}
-	m.touch(e)
-	return e.key, true
-}
-
-// Name returns the string behind item, or a hex rendering if evicted or
-// never interned.
-func (m *BoundedKeyMap) Name(item Item) string {
-	if s, ok := m.Lookup(item); ok {
-		return s
-	}
-	return "0x" + hex64(item)
-}
-
-// Len reports the number of currently interned keys.
-func (m *BoundedKeyMap) Len() int { return len(m.names) }
-
-// Cap reports the configured limit.
-func (m *BoundedKeyMap) Cap() int { return m.max }
-
-func (m *BoundedKeyMap) touch(e *boundedEntry) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
-}
-
-func (m *BoundedKeyMap) pushFront(e *boundedEntry) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	}
-	m.head = e
-	if m.tail == nil {
-		m.tail = e
-	}
-}
-
-func (m *BoundedKeyMap) unlink(e *boundedEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
 func hex64(x uint64) string {
 	const digits = "0123456789abcdef"
 	var b [16]byte

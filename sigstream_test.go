@@ -125,8 +125,8 @@ func TestKeyMap(t *testing.T) {
 	if m.Name(it) != "alice" {
 		t.Fatal("Name must resolve interned keys")
 	}
-	if m.Name(0xabc) == "" {
-		t.Fatal("Name must render unknown items")
+	if got := m.Name(0xabc); got != "0x0000000000000abc" {
+		t.Fatalf("Name(0xabc) = %q, want the 16-digit hex rendering", got)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
