@@ -86,10 +86,12 @@ bench-mc:
 	$(GO) test -run=^$$ -bench='DecodeBatch|IngestBinaryTCP' -benchmem ./internal/ingest/
 	$(GO) test -run=^$$ -bench='InsertHTTP' -benchmem ./internal/server/
 
-# Fast sanity run of the ingest benchmarks (what CI runs on every push).
+# Fast sanity run of the ingest benchmarks (what CI runs on every push),
+# the tenant's unique-key ingest (names held, bytes per arrival) included.
 bench-ingest-smoke:
 	$(GO) test -run=^$$ -bench='DecodeBatch|IngestBinaryTCP' -benchtime=100x ./internal/ingest/
 	$(GO) test -run=^$$ -bench='InsertHTTP' -benchtime=100x ./internal/server/
+	$(GO) test -run=^$$ -bench='IngestWireUniqueKeys' -benchtime=100x -benchmem ./internal/tenant/
 
 # Regenerate the full evaluation (quick scale) into results/.
 eval:

@@ -98,9 +98,11 @@ func main() {
 // shipIngest replays the stream over the binary ingest protocol: items
 // are rendered as decimal keys (the same rendering a text trace feeds
 // through /v1/insert), batched, and a period frame sent at every period
-// boundary. Over TCP the final Close waits for every ack, so a zero
-// exit means the server applied — and, with a WAL, fsynced — the whole
-// workload.
+// boundary. Every key is rendered before the clock starts, into one
+// string the batches slice, so the reported rate prices the transport and
+// the server rather than decimal formatting. Over TCP the final Close
+// waits for every ack, so a zero exit means the server applied — and,
+// with a WAL, fsynced — the whole workload.
 func shipIngest(s *stream.Stream, addr, ns string, batch, win int, udp bool) error {
 	if batch < 1 {
 		batch = 1
@@ -117,6 +119,13 @@ func shipIngest(s *stream.Stream, addr, ns string, batch, win int, udp bool) err
 	if err != nil {
 		return err
 	}
+	var buf []byte
+	ends := make([]int, len(s.Items))
+	for i, it := range s.Items {
+		buf = strconv.AppendUint(buf, it, 10)
+		ends[i] = len(buf)
+	}
+	rendered := string(buf)
 	per := s.ItemsPerPeriod()
 	keys := make([]string, 0, batch)
 	flushBatch := func() error {
@@ -128,7 +137,8 @@ func shipIngest(s *stream.Stream, addr, ns string, batch, win int, udp bool) err
 		return err
 	}
 	start := time.Now()
-	for i, it := range s.Items {
+	from := 0
+	for i, end := range ends {
 		if i > 0 && per > 0 && i%per == 0 {
 			if err := flushBatch(); err != nil {
 				_ = conn.Close()
@@ -139,7 +149,8 @@ func shipIngest(s *stream.Stream, addr, ns string, batch, win int, udp bool) err
 				return err
 			}
 		}
-		keys = append(keys, strconv.FormatUint(it, 10))
+		keys = append(keys, rendered[from:end])
+		from = end
 		if len(keys) == batch {
 			if err := flushBatch(); err != nil {
 				_ = conn.Close()

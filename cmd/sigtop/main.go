@@ -173,7 +173,9 @@ func runRemote(ctx context.Context, in io.Reader, out io.Writer,
 
 // ingest feeds "key [period]" lines into the tracker, ending periods at
 // column changes (or every periodItems arrivals without a column), plus a
-// final EndPeriod. It returns the number of arrivals.
+// final EndPeriod. It returns the number of arrivals. keys holds at most
+// twice the tracker's cells names, those of the items in cells, so an
+// endless stream of distinct keys (tail -f) runs in bounded memory.
 func ingest(r io.Reader, tr *sigstream.LTC, keys *sigstream.KeyMap, periodItems int) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -196,6 +198,7 @@ func ingest(r io.Reader, tr *sigstream.LTC, keys *sigstream.KeyMap, periodItems 
 			tr.EndPeriod()
 		}
 		tr.Insert(keys.Intern(fields[0]))
+		keys.Bound(tr.Cells(), tr.VisitItems)
 		count++
 	}
 	if err := sc.Err(); err != nil {

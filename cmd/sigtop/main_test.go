@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,5 +86,34 @@ func TestReportFormat(t *testing.T) {
 	coldIdx := strings.Index(text, "cold")
 	if coldIdx >= 0 && hotIdx > coldIdx {
 		t.Fatalf("ranking order wrong:\n%s", text)
+	}
+}
+
+// TestIngestBoundsKeyNames streams 100k distinct keys around one raised
+// key: the key map stays within twice the tracker's cells, and the report
+// names the raised key and every other ranked item.
+func TestIngestBoundsKeyNames(t *testing.T) {
+	tr, keys := newTrackerAndKeys()
+	var in strings.Builder
+	for i := 0; i < 100_000; i++ {
+		fmt.Fprintf(&in, "u%d %d\n", i, i/10_000)
+		if i%20 == 0 {
+			fmt.Fprintf(&in, "raised %d\n", i/10_000)
+		}
+	}
+	if _, err := ingest(strings.NewReader(in.String()), tr, keys, 0); err != nil {
+		t.Fatal(err)
+	}
+	if keys.Len() > 2*tr.Cells() {
+		t.Fatalf("%d names held for %d cells", keys.Len(), tr.Cells())
+	}
+	var out bytes.Buffer
+	report(&out, tr, keys, 0, 10)
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < 3 || !strings.Contains(lines[2], "raised") {
+		t.Fatalf("raised key not ranked first:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "0x") {
+		t.Fatalf("a ranked item lost its name:\n%s", out.String())
 	}
 }

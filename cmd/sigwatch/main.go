@@ -110,7 +110,11 @@ func main() {
 }
 
 // watch drives the tracker and watcher over the input, printing one line
-// per alert transition. It returns the number of events emitted.
+// per alert transition. It returns the number of events emitted. keys
+// holds at most twice the tracker's cells names: those of the items in
+// cells and of the active alerts, so a CLEAR line still names an item
+// that has left the tracker, and an endless stream of distinct keys
+// (tail -f) runs in bounded memory.
 func watch(in io.Reader, out io.Writer, tr *sigstream.LTC, w *alert.Watcher,
 	keys *sigstream.KeyMap, intern func(string) (sigstream.Item, error),
 	k, periodItems int) (int, error) {
@@ -120,6 +124,12 @@ func watch(in io.Reader, out io.Writer, tr *sigstream.LTC, w *alert.Watcher,
 	events := 0
 	lastPeriod := -1
 
+	named := func(visit func(sigstream.Item)) {
+		tr.VisitItems(visit)
+		for _, e := range w.ActiveItems() {
+			visit(e.Item)
+		}
+	}
 	endPeriod := func() {
 		tr.EndPeriod()
 		for _, ev := range w.Scan(toInternal(tr.TopK(k))) {
@@ -149,6 +159,7 @@ func watch(in io.Reader, out io.Writer, tr *sigstream.LTC, w *alert.Watcher,
 			return events, err
 		}
 		tr.Insert(item)
+		keys.Bound(tr.Cells(), named)
 		count++
 	}
 	if err := sc.Err(); err != nil {

@@ -127,3 +127,54 @@ func TestInternFlowErrors(t *testing.T) {
 		t.Fatal("bad flow accepted")
 	}
 }
+
+// TestWatchBoundsKeyNames raises one key in a one-bucket tracker beside
+// seven heavier keys, then streams 100k distinct keys that expel it: the
+// key map stays within twice the tracker's cells, and both the RAISE and
+// the CLEAR line name the key although it left the tracker in between.
+func TestWatchBoundsKeyNames(t *testing.T) {
+	tr := sigstream.New(sigstream.Config{
+		MemoryBytes: 128, // one bucket of eight cells
+		Weights:     sigstream.Weights{Alpha: 1, Beta: 100},
+	})
+	w := alert.NewWatcher(alert.Rule{Raise: 300, MinPersistency: 2})
+	keys := sigstream.NewKeyMap()
+	var in strings.Builder
+	for p := 0; p < 3; p++ {
+		for h := 0; h < 7; h++ {
+			for i := 0; i < 100; i++ {
+				fmt.Fprintf(&in, "heavy%d %d\n", h, p)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&in, "raised %d\n", p)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		fmt.Fprintf(&in, "u%d 3\n", i)
+	}
+	var out bytes.Buffer
+	if _, err := watch(strings.NewReader(in.String()), &out, tr, w, keys, internKey(keys), 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	if keys.Len() > 2*tr.Cells() {
+		t.Fatalf("%d names held for %d cells", keys.Len(), tr.Cells())
+	}
+	if _, ok := tr.Query(sigstream.HashKey("raised")); ok {
+		t.Fatal("the raised key was never expelled; the test proves nothing")
+	}
+	text := out.String()
+	raised, cleared := false, false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "key=0x") {
+			t.Fatalf("an alert lost its key name: %q", line)
+		}
+		if strings.HasSuffix(line, "key=raised") {
+			raised = raised || strings.HasPrefix(line, "RAISE")
+			cleared = cleared || strings.HasPrefix(line, "CLEAR")
+		}
+	}
+	if !raised || !cleared {
+		t.Fatalf("raised key: RAISE %v, CLEAR %v:\n%s", raised, cleared, text)
+	}
+}

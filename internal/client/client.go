@@ -97,7 +97,7 @@ type Stats struct {
 	Shards      int           `json:"shards"`
 	Arrivals    uint64        `json:"arrivals"`
 	Periods     uint64        `json:"periods"`
-	Keys        int           `json:"distinct_keys_seen"`
+	Keys        int           `json:"distinct_keys_seen"` // key names held, at most twice the cells
 	Alpha       float64       `json:"alpha"`
 	Beta        float64       `json:"beta"`
 	Tracker     TrackerStats  `json:"tracker"`

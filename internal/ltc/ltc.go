@@ -248,6 +248,9 @@ func (l *LTC) Name() string {
 // MemoryBytes reports the structure's accounted memory.
 func (l *LTC) MemoryBytes() int { return l.m * CellBytes }
 
+// Cells reports m, the table's cell count (w·d).
+func (l *LTC) Cells() int { return l.m }
+
 // previousFlag returns the parity bit the sweep consumes.
 func (l *LTC) previousFlag() uint8 {
 	if l.opts.DisableDeviationEliminator {
@@ -570,6 +573,19 @@ func (l *LTC) OfferTo(sel *stream.Selection) {
 			sel.Offer(stream.Entry{Item: l.ids[i], Frequency: uint64(l.freqs[i]), Persistency: p, Significance: sig})
 		}
 	}
+}
+
+// AppendItems appends the item of every occupied cell to dst, in cell
+// order, and returns the extended slice: OfferTo's walk without
+// significances, entries or selection. KeyMap.Bound prunes key names
+// with the items it yields.
+func (l *LTC) AppendItems(dst []stream.Item) []stream.Item {
+	for i, f := range l.flags {
+		if f&flagOccupied != 0 {
+			dst = append(dst, l.ids[i])
+		}
+	}
+	return dst
 }
 
 // Stats returns the tracker's observability snapshot: geometry, occupancy

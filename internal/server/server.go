@@ -608,7 +608,7 @@ type statsResponse struct {
 	Shards      int             `json:"shards"`
 	Arrivals    uint64          `json:"arrivals"`
 	Periods     uint64          `json:"periods"`
-	Keys        int             `json:"distinct_keys_seen"`
+	Keys        int             `json:"distinct_keys_seen"` // key names held, at most twice the cells
 	Alpha       float64         `json:"alpha"`
 	Beta        float64         `json:"beta"`
 	Tracker     sigstream.Stats `json:"tracker"`
@@ -657,6 +657,13 @@ func infoJSON(i tenant.Info) tenantInfoJSON {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	// Once Close has begun the server is going away: a 429 would tell the
+	// producer to retry here in a second, so refuse with 503 before the
+	// shed gate, whose ring is full of the drain.
+	if s.closed.Load() {
+		httpError(w, http.StatusServiceUnavailable, "shutting down")
+		return
+	}
 	// Shed before buffering the body: when the ingest rings are already at
 	// the high-water mark, accepting this request would stall the handler
 	// goroutine on a full ring; a 429 tells well-behaved producers to back
@@ -957,7 +964,7 @@ func (s *Server) collectTracker(w *obs.Writer) {
 	}
 	w.Counter("sigstream_arrivals_total", "Stream arrivals ingested.", float64(s.def.Arrivals()))
 	w.Counter("sigstream_periods_total", "Periods closed.", float64(s.def.Periods()))
-	w.Gauge("sigstream_distinct_keys", "Distinct keys interned.", float64(s.def.KeyCount()))
+	w.Gauge("sigstream_distinct_keys", "Key names held (at most twice the tracker's cells).", float64(s.def.KeyCount()))
 	w.Gauge("sigstream_memory_bytes", "Tracker memory budget.", float64(ts.MemoryBytes))
 	w.Gauge("sigstream_shards", "Tracker shard count.", float64(ts.Shards))
 	w.Gauge("sigstream_ltc_cells", "Total LTC cell capacity.", float64(ts.Cells))

@@ -101,7 +101,10 @@ func encodeEnvelope(keys *sigstream.KeyMap, image []byte) []byte {
 // decodeEnvelope splits a spill payload into a rebuilt key map, the
 // tracker image, and the WAL cut the image covers up to. TNT1 payloads
 // and legacy raw tracker images decode with cut 0; a legacy image also
-// yields an empty key map (unseen keys render as hex until re-interned).
+// yields an empty key map (unseen keys render as hex until noted again).
+// The names are restored as saved: the saving tenant had bounded them
+// already, and the first batch after a revive bounds the names of an
+// envelope written before names were bounded.
 // Every declared length is checked against the actual payload size before
 // slicing.
 func decodeEnvelope(payload []byte) (*sigstream.KeyMap, []byte, uint64, error) {
@@ -131,7 +134,8 @@ func decodeEnvelope(payload []byte) (*sigstream.KeyMap, []byte, uint64, error) {
 		if l < 0 || l > len(payload)-off {
 			return nil, nil, 0, fmt.Errorf("%w: key %d overruns envelope", ErrBadEnvelope, i)
 		}
-		km.Intern(string(payload[off : off+l]))
+		key := payload[off : off+l]
+		km.Note(sigstream.HashKeyBytes(key), key)
 		off += l
 	}
 	return km, payload[off:], cut, nil

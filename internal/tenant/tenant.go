@@ -26,11 +26,16 @@ import (
 // concurrency-safe sigstream.Sharded — and takes the write lock only for
 // residency transitions (spill, revive, restore, delete).
 //
+// The tenant holds key names only for the items its tracker holds: every
+// batch notes its names after it is applied and then bounds the key map
+// to twice the tracker's cells (sigstream.KeyMap.Bound), so names live and
+// die with cells.
+//
 // The declared acquisition order below is machine-checked by siglint's
 // lockorder analyzer (see DESIGN.md §12): mu is always outermost; the
-// append path nests walMu then keysMu under it; the save path and the
-// quota gate each nest their own mutex under mu and never under each
-// other.
+// append path nests walMu then keysMu under it, and holds keysMu across
+// the bound's pipeline flush and cell walk; the save path and the quota
+// gate each nest their own mutex under mu and never under each other.
 //
 //sig:lockorder mu < walMu < keysMu
 //sig:lockorder mu < saveMu
@@ -85,8 +90,10 @@ type Tenant struct {
 }
 
 // Entry is one ranking or query result: the tracker's estimate plus the
-// interned key string (hex-rendered when the key was never interned or
-// its name was lost to a legacy snapshot).
+// key string. A ranked item's name is held for as long as the item sits in
+// a cell, so the key is hex-rendered only for an item whose name was never
+// noted: one restored from a checkpoint image or a legacy snapshot, which
+// carry no names for it.
 type Entry struct {
 	// Key is the item's string key.
 	Key string
@@ -108,7 +115,8 @@ type Stats struct {
 	Arrivals uint64
 	// Periods is the number of period boundaries crossed.
 	Periods uint64
-	// Keys is the number of interned key names.
+	// Keys is the number of key names held: at most twice the tracker's
+	// cells after every batch.
 	Keys int
 	// Spills counts resident→disk transitions.
 	Spills uint64
@@ -176,12 +184,12 @@ func (t *Tenant) openWAL() (*wal.Log, error) {
 }
 
 // replayWAL replays l's records at or above cut, in log order, into
-// tracker and km: batches re-intern and re-insert their keys, period
-// records close periods, and a restore record swaps in the image it
-// carries (validated against the tenant's geometry). It returns the
-// tracker in effect after the replay and the number of records applied.
-// The caller owns tracker and km exclusively — replay runs during
-// recovery, before the state is installed or served.
+// tracker and km: batches re-insert and re-intern their keys and bound km
+// as IngestWire does, period records close periods, and a restore record
+// swaps in the image it carries (validated against the tenant's
+// geometry). It returns the tracker in effect after the replay and the
+// number of records applied. The caller owns tracker and km exclusively —
+// replay runs during recovery, before the state is installed or served.
 func (t *Tenant) replayWAL(l *wal.Log, cut uint64, tracker *sigstream.Sharded, km *sigstream.KeyMap) (*sigstream.Sharded, int, error) {
 	cur := tracker
 	n, err := l.Replay(cut, func(rec wal.Record) error {
@@ -192,6 +200,7 @@ func (t *Tenant) replayWAL(l *wal.Log, cut uint64, tracker *sigstream.Sharded, k
 				items[i] = km.Intern(k)
 			}
 			cur.InsertBatch(items)
+			km.Bound(cur.Cells(), cur.VisitItems)
 		case wal.RecordPeriod:
 			cur.EndPeriod()
 		case wal.RecordRestore:
@@ -487,8 +496,11 @@ type WireBatch struct {
 // IngestWire records b's arrivals, in order: charge the tenant's quota one
 // token per arrival (pinned tenants are exempt), append one RecordBatch
 // holding the weight-expanded key sequence to the write-ahead log (when
-// configured), note key names on first sight, and feed Items to the
-// pipeline (pinned, when configured) or directly to the tracker. With a
+// configured), feed Items to the pipeline (pinned, when configured) or
+// directly to the tracker, then note the key names and bound the key map
+// to the tracker's cells. Names are noted after the apply so that a
+// concurrent batch's prune, which keeps the names of items in cells,
+// cannot drop the name of an item this batch is still placing. With a
 // WAL a successful return means the batch is fsynced; on error nothing
 // was logged or applied.
 func (t *Tenant) IngestWire(b WireBatch) (int, error) {
@@ -515,6 +527,13 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 			return 0, fmt.Errorf("tenant %s: %w", t.ns, err)
 		}
 	}
+	if t.pipeline != nil {
+		if err := t.pipeline.Submit(b.Items); err != nil {
+			return 0, err
+		}
+	} else {
+		t.tracker.InsertBatch(b.Items)
+	}
 	t.keysMu.Lock()
 	cursor := 0
 	for i, k := range b.Keys {
@@ -525,18 +544,22 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 			cursor++
 		}
 	}
+	t.keys.Bound(t.tracker.Cells(), t.walkCells)
 	t.keysMu.Unlock()
-	if t.pipeline != nil {
-		if err := t.pipeline.Submit(b.Items); err != nil {
-			return 0, err
-		}
-	} else {
-		t.tracker.InsertBatch(b.Items)
-	}
 	t.arrivals.Add(uint64(len(b.Items)))
 	t.dirty.Store(true)
 	t.touch()
 	return len(b.Items), nil
+}
+
+// walkCells passes the item of every occupied cell to visit, for
+// KeyMap.Bound. A pipeline is flushed first, so the walk sees every batch
+// submitted before the prune, whose names are the ones already noted; a
+// quarantined pipeline walks the state applied so far. Caller holds
+// keysMu and at least the read lock.
+func (t *Tenant) walkCells(visit func(sigstream.Item)) {
+	_ = t.barrierRLocked()
+	t.tracker.VisitItems(visit)
 }
 
 // EndPeriod closes the tenant's current period and reports the new
@@ -675,7 +698,8 @@ func (t *Tenant) SaveCounters() (saves, errs uint64, lastUnix int64) {
 	return t.saveCount.Load(), t.saveErrCount.Load(), t.lastSaveUnix.Load()
 }
 
-// KeyCount reports the number of interned key names (0 when spilled).
+// KeyCount reports the number of key names held, at most twice the
+// tracker's cells after every batch (0 when spilled).
 func (t *Tenant) KeyCount() int {
 	t.keysMu.Lock()
 	defer t.keysMu.Unlock()
@@ -742,9 +766,11 @@ func (t *Tenant) CheckpointImage() ([]byte, error) {
 // RestoreImage validates a checkpoint image against the tenant's
 // geometry and installs it as the live tracker. The image is restored
 // into a fresh tracker first, so a bad image leaves the live state
-// untouched; key names are not part of the image, so existing interned
-// names survive. A pipelined tenant's pipeline is retired with the old
-// tracker and a fresh one started over the restored state.
+// untouched. Key names are not part of the image: the names held stay
+// until the next batch's bound drops those of items the restored tracker
+// does not hold, and the image's items that have no name render as hex
+// until a batch notes them. A pipelined tenant's pipeline is retired with
+// the old tracker and a fresh one started over the restored state.
 func (t *Tenant) RestoreImage(body []byte) error {
 	t.mu.Lock()
 	if t.deleted.Load() {
@@ -836,10 +862,12 @@ func (t *Tenant) Save() (string, error) {
 //
 // With a WAL, the save is the snapshot/truncate coordinator: it holds
 // the WAL gate exclusively across [pipeline barrier, segment rotation →
-// cut, image marshal], so the image covers exactly the records in
-// segments below the cut — replay from the cut is the missing suffix,
-// nothing less and nothing twice. The cut rides inside the envelope, so
-// snapshot and replay point commit atomically in one renamed file.
+// cut, image marshal, key-name copy], so the image and the names cover
+// exactly the records in segments below the cut — replay from the cut is
+// the missing suffix, nothing less and nothing twice, and re-notes and
+// re-bounds names exactly as the live tenant did. The cut rides inside
+// the envelope, so snapshot and replay point commit atomically in one
+// renamed file.
 func (t *Tenant) saveRLocked() (string, error) {
 	dir := t.dir()
 	if dir == "" {
@@ -852,6 +880,7 @@ func (t *Tenant) saveRLocked() (string, error) {
 	}
 	var cut uint64
 	var writeImage func(io.Writer) error
+	var names []string
 	if t.wal != nil {
 		t.walMu.Lock()
 		if err := t.barrierRLocked(); err != nil {
@@ -866,6 +895,7 @@ func (t *Tenant) saveRLocked() (string, error) {
 		}
 		t.dirty.Store(false)
 		img, err := t.tracker.MarshalBinary()
+		names = t.copyNames()
 		t.walMu.Unlock()
 		if err != nil {
 			return fail(fmt.Errorf("tenant %s: %w", t.ns, err))
@@ -880,15 +910,13 @@ func (t *Tenant) saveRLocked() (string, error) {
 				"tenant", t.ns, "err", err)
 		}
 		t.dirty.Store(false)
+		names = t.copyNames()
 		// Without a cut to pin, the image streams straight to the temp
 		// file — it never materializes in memory.
 		writeImage = t.tracker.EncodeTo
 	}
-	// Copy the names under keysMu and sort them after: TopK name
+	// The names are copied under keysMu and sorted after: TopK name
 	// resolution and ingest wait on keysMu, and the sort is the slow part.
-	t.keysMu.Lock()
-	names := keyNames(t.keys)
-	t.keysMu.Unlock()
 	sort.Strings(names)
 	t.saveMu.Lock()
 	defer t.saveMu.Unlock()
@@ -921,4 +949,11 @@ func (t *Tenant) saveRLocked() (string, error) {
 		t.wal.TruncateBefore(t.walCuts[0])
 	}
 	return name, nil
+}
+
+// copyNames copies the held key names, unsorted, under keysMu.
+func (t *Tenant) copyNames() []string {
+	t.keysMu.Lock()
+	defer t.keysMu.Unlock()
+	return keyNames(t.keys)
 }

@@ -584,31 +584,51 @@ func TestWALStatsSurface(t *testing.T) {
 // records whose weights equal Ingest's repeats. The two entry points must
 // leave byte-identical checkpoint images, the same key names and
 // byte-identical WAL segments, so tests and the ledger that drive Ingest
-// speak for the binary path too.
+// speak for the binary path too. The unique stream carries more distinct
+// keys than the 2048 names a 16 KiB tenant holds, so both tenants prune.
 func TestIngestWireMatchesIngest(t *testing.T) {
 	type record struct {
 		key string
 		w   uint32
 	}
 	// Four periods of three batches over 3000 keys: enough churn in a
-	// 16 KiB tracker to exercise admission and replacement.
-	rng := rand.New(rand.NewSource(7))
-	var periods [][][]record
-	for p := 0; p < 4; p++ {
-		var batches [][]record
-		for b := 0; b < 3; b++ {
-			var batch []record
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(3000)))
-				batch = append(batch, record{key, uint32(1 + rng.Intn(4))})
+	// 16 KiB tracker to exercise admission and replacement. The unique
+	// stream adds 300 never-repeated keys to every batch.
+	stream := func(uniquePerBatch int) [][][]record {
+		rng := rand.New(rand.NewSource(7))
+		var periods [][][]record
+		unique := 0
+		for p := 0; p < 4; p++ {
+			var batches [][]record
+			for b := 0; b < 3; b++ {
+				var batch []record
+				for i := 0; i < 200; i++ {
+					key := fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(3000)))
+					batch = append(batch, record{key, uint32(1 + rng.Intn(4))})
+				}
+				for i := 0; i < uniquePerBatch; i++ {
+					batch = append(batch, record{fmt.Sprintf("u%d", unique), uint32(1 + rng.Intn(2))})
+					unique++
+				}
+				batches = append(batches, batch)
 			}
-			batches = append(batches, batch)
+			periods = append(periods, batches)
 		}
-		periods = append(periods, batches)
+		return periods
 	}
 
-	for _, weighted := range []bool{false, true} {
-		t.Run(fmt.Sprintf("weighted=%v", weighted), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		unique   int
+		weighted bool
+	}{
+		{"weighted=false", 0, false},
+		{"weighted=true", 0, true},
+		{"unique/weighted=false", 300, false},
+		{"unique/weighted=true", 300, true},
+	} {
+		periods, weighted := stream(tc.unique), tc.weighted
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := walConfig(t)
 			r := NewRegistry(cfg)
 			defer r.Close()
@@ -663,8 +683,20 @@ func TestIngestWireMatchesIngest(t *testing.T) {
 			if !bytes.Equal(imgText, imgWire) {
 				t.Fatalf("checkpoint images diverge: %d vs %d bytes", len(imgText), len(imgWire))
 			}
-			if nt, nw := keyNamesByItem(text), keyNamesByItem(wire); !reflect.DeepEqual(nt, nw) {
+			nt, nw := keyNamesByItem(text), keyNamesByItem(wire)
+			if !reflect.DeepEqual(nt, nw) {
 				t.Fatalf("key names diverge: %d via Ingest, %d via IngestWire", len(nt), len(nw))
+			}
+			distinct := map[string]bool{}
+			for _, batches := range periods {
+				for _, batch := range batches {
+					for _, rec := range batch {
+						distinct[rec.key] = true
+					}
+				}
+			}
+			if tc.unique > 0 && (len(nt) >= len(distinct) || len(nt) > 2*1024) {
+				t.Fatalf("%d names held of %d distinct keys: the unique stream did not prune", len(nt), len(distinct))
 			}
 			segText, segWire := walSegments(t, cfg, "text"), walSegments(t, cfg, "wire")
 			if len(segText) == 0 {

@@ -238,6 +238,36 @@ func (s *Sharded) TopK(k int) []Entry {
 	return out
 }
 
+// VisitItems calls visit with the item of every occupied cell; pass it to
+// KeyMap.Bound to keep only the names of the items the tracker holds.
+// Each shard's items are copied into pooled scratch under its lock and
+// visited after the lock is released, so visit never stalls that shard's
+// inserts and may insert into or query the tracker.
+//
+//sig:noalloc
+func (s *Sharded) VisitItems(visit func(Item)) {
+	b := s.getScratch(0, 0)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		b.sorted = sh.l.AppendItems(b.sorted[:0])
+		sh.mu.Unlock()
+		for _, it := range b.sorted {
+			visit(it)
+		}
+	}
+	s.scratch.Put(b)
+}
+
+// Cells reports the summed shard cell counts.
+func (s *Sharded) Cells() int {
+	total := 0
+	for i := range s.shards {
+		total += s.shards[i].l.Cells()
+	}
+	return total
+}
+
 // MemoryBytes reports the summed shard budgets.
 func (s *Sharded) MemoryBytes() int {
 	total := 0

@@ -1,6 +1,7 @@
 package sigstream
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -130,6 +131,103 @@ func TestKeyMap(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
+	}
+}
+
+// TestKeyMapBound checks that Bound keeps at most twice the tracker's
+// cells, keeps the name of every item the tracker holds, and keeps the
+// names of extra items the walk yields.
+func TestKeyMapBound(t *testing.T) {
+	tr := New(Config{MemoryBytes: 1 << 10}) // 64 cells
+	m := NewKeyMap()
+	extra := m.Intern("alert")
+	for i := 0; i < 5000; i++ {
+		key := fmt.Sprintf("k%d", i)
+		it := HashKey(key)
+		tr.Insert(it)
+		m.Note(it, []byte(key))
+		m.Bound(tr.Cells(), func(visit func(Item)) {
+			tr.VisitItems(visit)
+			visit(extra)
+		})
+		if m.Len() > 2*tr.Cells() {
+			t.Fatalf("after %d keys: %d names for %d cells", i+1, m.Len(), tr.Cells())
+		}
+	}
+	if got, ok := m.Lookup(extra); !ok || got != "alert" {
+		t.Fatalf("walked item's name = %q/%v, want alert", got, ok)
+	}
+	held := 0
+	tr.VisitItems(func(it Item) {
+		held++
+		if _, ok := m.Lookup(it); !ok {
+			t.Fatalf("held item %#x lost its name", it)
+		}
+	})
+	if held != tr.Occupancy() {
+		t.Fatalf("VisitItems yielded %d items, occupancy %d", held, tr.Occupancy())
+	}
+	n := 0
+	m.Range(func(Item, string) bool { n++; return true })
+	if n != m.Len() {
+		t.Fatalf("Range yielded %d names, Len %d", n, m.Len())
+	}
+	// An empty walk leaves only what fits: nothing survives a full prune.
+	m.Bound(0, func(func(Item)) {})
+	if m.Len() != 0 {
+		t.Fatalf("Len after an empty walk = %d, want 0", m.Len())
+	}
+}
+
+// TestKeyMapZeroAllocs pins the steady state: noting a held key, and a
+// cycle of inserts, notes and a pruning bound over an LTC or a Sharded,
+// allocate nothing.
+func TestKeyMapZeroAllocs(t *testing.T) {
+	m := NewKeyMap()
+	hot := []byte("hot-key")
+	hotItem := HashKeyBytes(hot)
+	m.Note(hotItem, hot)
+	if a := testing.AllocsPerRun(1000, func() { m.Note(hotItem, hot) }); a != 0 {
+		t.Fatalf("Note of a held key: %v allocs, want 0", a)
+	}
+
+	const batch = 64
+	keys := make([][]byte, 4096)
+	items := make([]Item, len(keys))
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%05d", i))
+		items[i] = HashKeyBytes(keys[i])
+	}
+	type tracker interface {
+		InsertBatch([]Item)
+		Cells() int
+		VisitItems(func(Item))
+	}
+	for _, tr := range []tracker{New(Config{MemoryBytes: 1 << 10}), NewSharded(Config{MemoryBytes: 1 << 10}, 2)} {
+		if _, pooled := tr.(*Sharded); pooled && raceEnabled {
+			t.Log("Sharded skipped: its pooled scratch is dropped at random under -race")
+			continue
+		}
+		m := NewKeyMap()
+		next := 0
+		cycle := func() {
+			b := items[next : next+batch]
+			tr.InsertBatch(b)
+			for i, it := range b {
+				m.Note(it, keys[next+i])
+			}
+			m.Bound(tr.Cells(), tr.VisitItems)
+			next = (next + batch) % len(keys)
+		}
+		for i := 0; i < 500; i++ { // grow every buffer to its steady size
+			cycle()
+		}
+		if a := testing.AllocsPerRun(200, cycle); a != 0 {
+			t.Fatalf("%T: Note+Bound cycle: %v allocs, want 0", tr, a)
+		}
+		if m.Len() > 2*tr.Cells() {
+			t.Fatalf("%T: %d names for %d cells", tr, m.Len(), tr.Cells())
+		}
 	}
 }
 

@@ -64,7 +64,8 @@ type Config struct {
 // additionally exposes structure diagnostics.
 type LTC struct {
 	wrap
-	l *ltc.LTC
+	l     *ltc.LTC
+	items []Item // VisitItems scratch
 }
 
 // New creates an LTC tracker, the package's primary structure. Zero cfg
@@ -124,6 +125,20 @@ func (l *LTC) BucketWidth() int { return l.l.BucketWidth() }
 
 // Occupancy reports the number of occupied cells.
 func (l *LTC) Occupancy() int { return l.l.Occupancy() }
+
+// Cells reports the number of cells in the lossy table, w·d.
+func (l *LTC) Cells() int { return l.l.Cells() }
+
+// VisitItems calls visit with the item of every occupied cell; pass it to
+// KeyMap.Bound to keep only the names of the items the tracker holds. The
+// items are collected first, so visit may insert into or query the
+// tracker.
+func (l *LTC) VisitItems(visit func(Item)) {
+	l.items = l.l.AppendItems(l.items[:0])
+	for _, it := range l.items {
+		visit(it)
+	}
+}
 
 // BaselineKind selects one of the paper's baseline algorithms for
 // NewBaseline.
