@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test race vet staticcheck lint siglint siglint-escapes \
 	cover bench bench-figures bench-core benchcmp bench-pipeline-smoke \
-	bench-mc bench-ingest-smoke eval eval-paper fuzz fuzz-smoke \
+	bench-mc bench-ingest-smoke bench-gather eval eval-paper fuzz fuzz-smoke \
 	chaos chaos-wal chaos-cluster examples clean
 
 all: build test lint
@@ -62,6 +62,12 @@ bench-figures:
 bench-core:
 	$(GO) test -run=^$$ -bench='InsertLTC|InsertBatchLTC|TopKLTC|MergeShardedCheckpoints|Pipeline' \
 		-benchmem -count=10 . | tee results/bench_head.txt
+
+# One coordinator gather round against three loopback nodes (P = 8,
+# R = 2, 64 KiB partitions): ns/op, plus the checkpoint images and KiB
+# the sites ship per round (what CI's read-path smoke step runs).
+bench-gather:
+	$(GO) test -run=^$$ -bench=GatherRound -benchtime=10x -benchmem ./internal/coord/
 
 # Compare the current hot-path numbers against the recorded PR 2 baseline.
 # Uses benchstat when installed (go install

@@ -3,10 +3,22 @@ package sigstream
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrNoCheckpoints reports an empty checkpoint list.
 var ErrNoCheckpoints = errors.New("sigstream: no checkpoints to merge")
+
+// CheckpointTag formats the version tag of a tracker whose Stats report
+// periods and arrivals, quoted like an HTTP entity tag and equal for two
+// trackers exactly when both numbers are. The checkpoint route answers a
+// request whose If-None-Match is exactly the live tracker's tag with 304
+// and no image; a cluster gatherer sends the tag of the replica image it
+// already holds, since it keeps that image unless another replica is
+// ahead on periods, then arrivals.
+func CheckpointTag(periods, arrivals uint64) string {
+	return `"` + strconv.FormatUint(periods, 10) + "." + strconv.FormatUint(arrivals, 10) + `"`
+}
 
 // MergeCheckpoints restores each binary checkpoint (as produced by
 // LTC.MarshalBinary) and folds them into a single tracker — the one-call

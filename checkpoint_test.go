@@ -135,3 +135,37 @@ func TestMergeCheckpointsErrors(t *testing.T) {
 		t.Fatal("incompatible checkpoints accepted")
 	}
 }
+
+// TestCheckpointTag: a Sharded image decodes to the tag of the tracker it
+// came from, and the tag changes with either number it formats.
+func TestCheckpointTag(t *testing.T) {
+	tag := func(s *Sharded) string {
+		st := s.Stats()
+		return CheckpointTag(st.Periods, st.Arrivals)
+	}
+	src := NewSharded(Config{MemoryBytes: 16 << 10, Seed: 3}, 2)
+	for p := 0; p < 3; p++ {
+		for i := 1; i <= 50; i++ {
+			src.Insert(Item(i * (p + 1)))
+		}
+		src.EndPeriod()
+	}
+	img, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := new(Sharded)
+	if err := dec.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tag(dec), tag(src); got != want || want != `"3.150"` {
+		t.Fatalf("decoded tag %s, source tag %s, want both \"3.150\"", got, want)
+	}
+	src.Insert(7)
+	if tag(src) == tag(dec) {
+		t.Fatal("an insert left the tag unchanged")
+	}
+	if CheckpointTag(1, 23) == CheckpointTag(12, 3) {
+		t.Fatal("tags of (1, 23) and (12, 3) collide")
+	}
+}

@@ -132,6 +132,10 @@ type TenantList struct {
 // ErrNotTracked reports a point query for an unknown key.
 var ErrNotTracked = fmt.Errorf("sigstream client: key not tracked")
 
+// ErrNotModified reports a conditional checkpoint download whose tag
+// matched the tenant's tracker: the server shipped no image.
+var ErrNotModified = fmt.Errorf("sigstream client: checkpoint not modified")
+
 // ThrottledError reports a 429 — the tenant's quota is exhausted or the
 // ingest queue is at its high-water mark — with the server's retry hint.
 type ThrottledError struct {
@@ -503,15 +507,53 @@ func (t *Tenant) Stats(ctx context.Context) (Stats, error) {
 
 // Checkpoint downloads a binary snapshot of the tenant's tracker.
 func (t *Tenant) Checkpoint(ctx context.Context) ([]byte, error) {
-	resp, err := t.c.get(ctx, t.prefix+"/checkpoint")
+	return t.CheckpointIfChanged(ctx, "")
+}
+
+// CheckpointIfChanged is Checkpoint made conditional: the request carries
+// tag (a sigstream.CheckpointTag) as If-None-Match, and when it is the
+// tenant tracker's tag the server ships no image and the call returns
+// ErrNotModified. The empty tag downloads unconditionally.
+func (t *Tenant) CheckpointIfChanged(ctx context.Context, tag string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.c.base+t.prefix+"/checkpoint", nil)
+	if err != nil {
+		return nil, err
+	}
+	if tag != "" {
+		req.Header.Set("If-None-Match", tag)
+	}
+	resp, err := t.c.http.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return readImage(resp)
+	case http.StatusNotModified:
+		return nil, ErrNotModified
 	}
-	return io.ReadAll(resp.Body)
+	return nil, statusError(resp)
+}
+
+// maxImagePrealloc caps the buffer a checkpoint download sizes from the
+// response's declared Content-Length (64 MiB).
+const maxImagePrealloc = 64 << 20
+
+// readImage reads a checkpoint body into one buffer of its declared
+// length. A body declaring more than maxImagePrealloc, or no length, is
+// read by growing the buffer instead, so a forged length cannot force a
+// huge allocation; a body shorter than declared is an error.
+func readImage(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxImagePrealloc {
+		return io.ReadAll(resp.Body)
+	}
+	img := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, img); err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
 // Restore replaces the tenant's tracker state with a snapshot.

@@ -1,9 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"sigstream"
@@ -87,6 +91,73 @@ func TestClientCheckpointRestore(t *testing.T) {
 	// Garbage restore surfaces the server's 400.
 	if err := c.Default().Restore(ctx, []byte("junk")); err == nil {
 		t.Fatal("garbage restore accepted")
+	}
+}
+
+// TestClientCheckpointIfChanged: a tag naming the tenant tracker's
+// periods and arrivals downloads nothing; any other tag, or none, gets
+// the full image.
+func TestClientCheckpointIfChanged(t *testing.T) {
+	c := newPair(t)
+	ctx := context.Background()
+	tn := c.Tenant("red")
+	if _, err := tn.CheckpointIfChanged(ctx, sigstream.CheckpointTag(0, 0)); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("unknown namespace: %v, want 404", err)
+	}
+	tn.Insert(ctx, "x", "x", "y")
+	tn.EndPeriod(ctx)
+	img, err := tn.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := new(sigstream.Sharded)
+	if err := dec.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	st := dec.Stats()
+	tag := sigstream.CheckpointTag(st.Periods, st.Arrivals)
+	if got, err := tn.CheckpointIfChanged(ctx, tag); !errors.Is(err, ErrNotModified) || got != nil {
+		t.Fatalf("matching tag: %d bytes, %v; want ErrNotModified", len(got), err)
+	}
+	for _, other := range []string{"", sigstream.CheckpointTag(st.Periods, st.Arrivals+1), "*"} {
+		got, err := tn.CheckpointIfChanged(ctx, other)
+		if err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("tag %q: %d bytes, %v; want the %d-byte image", other, len(got), err, len(img))
+		}
+	}
+	tn.Insert(ctx, "z")
+	if got, err := tn.CheckpointIfChanged(ctx, tag); err != nil || bytes.Equal(got, img) {
+		t.Fatalf("stale tag after an insert: %d bytes, %v; want the new image", len(got), err)
+	}
+}
+
+// isStatus reports whether err is an *APIError with the given status.
+func isStatus(err error, status int) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.Status == status
+}
+
+// TestClientCheckpointShortBody: a body shorter than its declared length
+// is an error, and a forged length past the preallocation cap costs no
+// allocation of that size.
+func TestClientCheckpointShortBody(t *testing.T) {
+	for _, declared := range []int{1 << 30, 4096} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(declared))
+			_, _ = w.Write([]byte("SLT3 not the whole image"))
+		}))
+		c := New(srv.URL, srv.Client())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		img, err := c.Tenant("red").Checkpoint(context.Background())
+		runtime.ReadMemStats(&after)
+		srv.Close()
+		if err == nil {
+			t.Fatalf("declared %d: short body accepted (%d bytes)", declared, len(img))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxImagePrealloc {
+			t.Fatalf("declared %d: allocated %d bytes, want < %d", declared, grew, maxImagePrealloc)
+		}
 	}
 }
 

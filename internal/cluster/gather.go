@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -33,14 +34,23 @@ import (
 // site answered; there is simply nothing to merge.
 var ErrNoPartition = errors.New("cluster: partition namespace not present on site")
 
+// ErrUnchanged is the sentinel a SiteClient returns from FetchCheckpoint
+// when the site's tracker carries the tag the fetch was asked with, so it
+// shipped no image. It counts as a successful report for quorum: the
+// replica matches the image the round already holds.
+var ErrUnchanged = errors.New("cluster: partition unchanged since the tagged image")
+
 // SiteClient is the transport to one sigserver node. The production
 // implementation wraps internal/client over HTTP; tests substitute
 // in-process fakes. Every call must honor its context deadline.
 type SiteClient interface {
 	// FetchCheckpoint downloads the binary checkpoint of one partition
 	// namespace (a Sharded image, as served by the checkpoint route).
-	// Unknown namespaces map to ErrNoPartition.
-	FetchCheckpoint(ctx context.Context, ns string) ([]byte, error)
+	// Unknown namespaces map to ErrNoPartition. A non-empty tag (a
+	// sigstream.CheckpointTag) makes the fetch conditional: a site whose
+	// tracker carries that tag ships nothing and the call returns
+	// ErrUnchanged.
+	FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte, error)
 	// FetchNames returns up to k of the namespace's top items with their
 	// registered key strings, for display-name resolution in the cluster
 	// view. Best-effort: an error degrades names, never the round.
@@ -196,6 +206,9 @@ type GatherStats struct {
 	StaleRounds uint64
 	// Fetches is the number of checkpoint fetch attempts (retries count).
 	Fetches uint64
+	// FetchesUnchanged is the number of conditional fetch attempts a site
+	// answered with no image, its tracker matching the tag asked with.
+	FetchesUnchanged uint64
 	// FetchErrors is the number of failed fetch attempts.
 	FetchErrors uint64
 	// SiteSkips counts per-site partition skips across all rounds.
@@ -246,6 +259,7 @@ type Gatherer struct {
 	commits   uint64
 	stale     uint64
 	fetches   uint64
+	unchanged uint64
 	fetchErrs uint64
 	skips     map[string]uint64
 }
@@ -299,6 +313,7 @@ type fetchClass int
 const (
 	fetchOK fetchClass = iota
 	fetchEmpty
+	fetchUnchanged // the replica matches the tagged image already held
 	fetchCorrupt
 	fetchUnreachable
 	fetchCanceled // the caller's context ended the fetch; no fault of the site
@@ -312,13 +327,25 @@ type replicaFetch struct {
 	err     error
 }
 
+// tag is the version tag of the fetched image, empty when none was
+// decoded.
+func (r replicaFetch) tag() string {
+	if r.tracker == nil {
+		return ""
+	}
+	st := r.tracker.Stats()
+	return sigstream.CheckpointTag(st.Periods, st.Arrivals)
+}
+
 // fetchReplica pulls and validates one partition checkpoint from one
-// site, retrying transient failures under the configured policy.
+// site, retrying transient failures under the configured policy. A
+// non-empty tag is passed on, so a site whose tracker matches it answers
+// fetchUnchanged instead of shipping an image.
 // Deterministic failures (a corrupt image) surface immediately: re-asking
 // the same question gets the same broken answer. Once ctx is done the
 // fetch stops, backoff included, and reports fetchCanceled: the caller
 // gave up, so the outcome says nothing about the site.
-func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) replicaFetch {
+func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns, tag string) replicaFetch {
 	p := g.cfg.Retry.withDefaults()
 	delay := p.BaseDelay
 	var lastErr error
@@ -337,10 +364,16 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) r
 		g.fetches++
 		g.mu.Unlock()
 		cctx, cancel := context.WithTimeout(ctx, g.timeout)
-		img, err := sc.FetchCheckpoint(cctx, ns)
+		img, err := sc.FetchCheckpoint(cctx, ns, tag)
 		cancel()
 		if errors.Is(err, ErrNoPartition) {
 			return replicaFetch{class: fetchEmpty}
+		}
+		if errors.Is(err, ErrUnchanged) {
+			g.mu.Lock()
+			g.unchanged++
+			g.mu.Unlock()
+			return replicaFetch{class: fetchUnchanged}
 		}
 		if err != nil && ctx.Err() != nil {
 			return replicaFetch{class: fetchCanceled, err: ctx.Err()}
@@ -438,7 +471,10 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 				skip(site, ns, "site down this round")
 				continue
 			}
-			res := g.fetchReplica(ctx, g.cfg.Clients[site], ns)
+			// The first replica to answer ships its image; each later
+			// one is asked with that image's tag and ships only if its
+			// tracker differs, since an equal tag never displaces best.
+			res := g.fetchReplica(ctx, g.cfg.Clients[site], ns, best.tag())
 			switch res.class {
 			case fetchCanceled:
 				canceled = res.err
@@ -449,7 +485,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 			case fetchCorrupt:
 				hardFail[site] = true
 				skip(site, ns, "corrupt checkpoint: "+res.err.Error())
-			case fetchEmpty:
+			case fetchEmpty, fetchUnchanged:
 				succeeded[site] = true
 				pr.Reported++
 			case fetchOK:
@@ -621,10 +657,12 @@ func (g *Gatherer) TopK(k int) (entries []ViewEntry, info ViewInfo, ok bool) {
 	if v.tracker == nil {
 		return []ViewEntry{}, info, true
 	}
-	for _, e := range v.tracker.TopK(k) {
+	top := v.tracker.TopK(k)
+	entries = make([]ViewEntry, 0, len(top))
+	for _, e := range top {
 		key, found := v.names[e.Item]
 		if !found {
-			key = fmt.Sprintf("%d", e.Item)
+			key = strconv.FormatUint(e.Item, 10)
 		}
 		entries = append(entries, ViewEntry{
 			Key:          key,
@@ -660,15 +698,16 @@ func (g *Gatherer) Stats() GatherStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := GatherStats{
-		Rounds:       g.rounds,
-		Commits:      g.commits,
-		StaleRounds:  g.stale,
-		Fetches:      g.fetches,
-		FetchErrors:  g.fetchErrs,
-		SiteSkips:    make(map[string]uint64, len(g.skips)),
-		BreakerState: make(map[string]BreakerState, len(g.sites)),
-		Sites:        len(g.sites),
-		Partitions:   g.topo.Partitions(),
+		Rounds:           g.rounds,
+		Commits:          g.commits,
+		StaleRounds:      g.stale,
+		Fetches:          g.fetches,
+		FetchesUnchanged: g.unchanged,
+		FetchErrors:      g.fetchErrs,
+		SiteSkips:        make(map[string]uint64, len(g.skips)),
+		BreakerState:     make(map[string]BreakerState, len(g.sites)),
+		Sites:            len(g.sites),
+		Partitions:       g.topo.Partitions(),
 	}
 	for site, n := range g.skips {
 		st.SiteSkips[site] = n

@@ -23,7 +23,8 @@ type fakeSite struct {
 	corrupt    map[string]bool // namespaces served as garbage
 	failFirst  int             // fail this many fetches, then recover
 	stall      bool            // fetches hang until their context ends
-	fetchCalls int
+	fetchCalls int             // every fetch, conditional ones included
+	shipped    int             // fetches answered with a tracker image
 	readyCalls int
 }
 
@@ -46,7 +47,7 @@ func (f *fakeSite) tracker(ns string) *sigstream.Sharded {
 	return tr
 }
 
-func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, error) {
+func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte, error) {
 	f.mu.Lock()
 	f.fetchCalls++
 	stall := f.stall
@@ -73,6 +74,10 @@ func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, erro
 	if !ok {
 		return nil, ErrNoPartition
 	}
+	if st := tr.Stats(); tag != "" && tag == sigstream.CheckpointTag(st.Periods, st.Arrivals) {
+		return nil, ErrUnchanged
+	}
+	f.shipped++
 	return tr.MarshalBinary()
 }
 
@@ -496,12 +501,14 @@ func TestGatherResolvesNames(t *testing.T) {
 		tc.fakes[site].tracker(ns).Insert(item)
 		tc.fakes[site].names[ns] = map[uint64]string{item: "checkout-svc"}
 	}
+	// No site names this item: its key is the item in decimal.
+	tc.insert(18446744073709551557, 2)
 	if rep := tc.g.Round(context.Background()); !rep.Committed {
 		t.Fatalf("round did not commit: %s", rep.Reason)
 	}
 	entries, _, _ := tc.g.TopK(10)
-	if len(entries) != 1 || entries[0].Key != "checkout-svc" {
-		t.Fatalf("entries %+v, want item 42 named checkout-svc", entries)
+	if len(entries) != 2 || entries[0].Key != "18446744073709551557" || entries[1].Key != "checkout-svc" {
+		t.Fatalf("entries %+v, want item 18446744073709551557 keyed in decimal, then item 42 named checkout-svc", entries)
 	}
 }
 
@@ -626,5 +633,191 @@ func TestGlobalRankingAcrossSites(t *testing.T) {
 	top, _, _ := tc.g.TopK(3)
 	if len(top) != 3 || top[0].Item != lead || top[1].Item != other || top[2].Item != second {
 		t.Fatalf("global ranking %+v, want items %d, %d, %d", top, lead, other, second)
+	}
+}
+
+// referenceView builds the view the freshest-replica rule commits, from
+// every replica's image as the site holds it now: for each partition,
+// the replica with the most periods, then the most arrivals, the first
+// in replica order on ties; then the winners merged with MergeSharded. A
+// down site, a corrupt namespace and a missing namespace contribute no
+// image. It returns the merged tracker (nil when no partition has data)
+// and each partition's winning site.
+func (tc *testCluster) referenceView(t *testing.T) (*sigstream.Sharded, []string) {
+	t.Helper()
+	from := make([]string, tc.topo.Partitions())
+	var winners []*sigstream.Sharded
+	for p := range from {
+		ns := PartitionNamespace(p)
+		var best *sigstream.Sharded
+		var bestSt sigstream.Stats
+		for _, site := range tc.topo.ReplicaSites(p) {
+			f := tc.fakes[site]
+			f.mu.Lock()
+			tr, ok := f.parts[ns]
+			skip := f.down || f.corrupt[ns] || !ok
+			var img []byte
+			var err error
+			if !skip {
+				img, err = tr.MarshalBinary()
+			}
+			f.mu.Unlock()
+			if skip {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := new(sigstream.Sharded)
+			if err := dec.UnmarshalBinary(img); err != nil {
+				t.Fatal(err)
+			}
+			st := dec.Stats()
+			if best == nil || st.Periods > bestSt.Periods ||
+				(st.Periods == bestSt.Periods && st.Arrivals > bestSt.Arrivals) {
+				best, bestSt, from[p] = dec, st, site
+			}
+		}
+		if best != nil {
+			winners = append(winners, best)
+		}
+	}
+	if len(winners) == 0 {
+		return nil, from
+	}
+	merged, err := sigstream.MergeSharded(winners...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged, from
+}
+
+// shipped sums the tracker images the fake sites have shipped.
+func (tc *testCluster) shipped() int {
+	n := 0
+	for _, f := range tc.fakes {
+		f.mu.Lock()
+		n += f.shipped
+		f.mu.Unlock()
+	}
+	return n
+}
+
+// TestGatherConditionalFetchKeepsSelection checks that asking later
+// replicas with the first image's tag ships one image per partition when
+// replicas agree and leaves the committed view exactly what the
+// freshest-replica rule builds from every replica's image: the same
+// merged-from site per partition and the same ranking, every cell
+// included.
+func TestGatherConditionalFetchKeepsSelection(t *testing.T) {
+	const parts = 4
+	cases := []struct {
+		name string
+		// diverge changes partition 0's replicas before the round, given
+		// the partition's namespace, two items it owns and its replicas
+		// in fetch order.
+		diverge     func(tc *testCluster, ns string, a, b uint64, first, second *fakeSite)
+		wantShipped int
+		wantFrom    int // replica index whose image partition 0 merges
+	}{
+		{"identical", func(*testCluster, string, uint64, uint64, *fakeSite, *fakeSite) {}, parts, 0},
+		{"second fresher by a period", func(_ *testCluster, ns string, a, _ uint64, _, second *fakeSite) {
+			tr := second.tracker(ns)
+			tr.Insert(a)
+			tr.EndPeriod()
+		}, parts + 1, 1},
+		{"second behind on arrivals", func(_ *testCluster, ns string, a, _ uint64, first, _ *fakeSite) {
+			first.tracker(ns).Insert(a)
+		}, parts + 1, 0},
+		{"same tag, different items", func(_ *testCluster, ns string, a, b uint64, first, second *fakeSite) {
+			first.tracker(ns).Insert(a)
+			second.tracker(ns).Insert(b)
+		}, parts, 0},
+		{"first corrupt", func(_ *testCluster, ns string, _, _ uint64, first, _ *fakeSite) {
+			first.corrupt[ns] = true
+		}, parts, 1},
+		{"first unreachable", func(_ *testCluster, _ string, _, _ uint64, first, _ *fakeSite) {
+			first.setDown(true)
+		}, parts, 1},
+		{"first empty", func(_ *testCluster, ns string, _, _ uint64, first, _ *fakeSite) {
+			first.mu.Lock()
+			delete(first.parts, ns)
+			first.mu.Unlock()
+		}, parts, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, parts, 2, BreakerConfig{}, fastPolicy())
+			for period := 1; period <= 3; period++ {
+				for i := 1; i <= 200; i++ {
+					tc.insert(uint64(i), 1+i%(period+2))
+				}
+				tc.endPeriod()
+			}
+			var owned []uint64
+			for item := uint64(1000); len(owned) < 2; item++ {
+				if tc.topo.Partition(item) == 0 {
+					owned = append(owned, item)
+				}
+			}
+			reps := tc.topo.ReplicaSites(0)
+			c.diverge(tc, PartitionNamespace(0), owned[0], owned[1], tc.fakes[reps[0]], tc.fakes[reps[1]])
+			ref, refFrom := tc.referenceView(t)
+
+			calls := 0
+			for _, f := range tc.fakes {
+				calls += f.calls()
+			}
+			rep := tc.g.Round(context.Background())
+			if !rep.Committed {
+				t.Fatalf("round did not commit: %s", rep.Reason)
+			}
+			if got := tc.shipped(); got != c.wantShipped {
+				t.Errorf("%d images shipped, want %d", got, c.wantShipped)
+			}
+			st := tc.g.Stats()
+			for _, f := range tc.fakes {
+				calls -= f.calls()
+			}
+			if -calls != int(st.Fetches) {
+				t.Errorf("sites saw %d fetches, gatherer counted %d", -calls, st.Fetches)
+			}
+			if c.name == "identical" {
+				if st.FetchesUnchanged != parts {
+					t.Errorf("%d unchanged answers, want %d", st.FetchesUnchanged, parts)
+				}
+				// An unchanged answer is a report and a success.
+				for _, pr := range rep.Partitions {
+					if pr.Reported != 2 {
+						t.Errorf("partition %d: %d replicas reported, want 2", pr.Partition, pr.Reported)
+					}
+				}
+				for _, sr := range rep.Sites {
+					if sr.Health != SiteHealthy || sr.LastEpoch != rep.Epoch {
+						t.Errorf("site %+v, want healthy at epoch %d", sr, rep.Epoch)
+					}
+				}
+			}
+			if got := rep.Partitions[0].MergedFrom; got != reps[c.wantFrom] {
+				t.Errorf("partition 0 merged from %q, want %q", got, reps[c.wantFrom])
+			}
+			for p, pr := range rep.Partitions {
+				if pr.MergedFrom != refFrom[p] {
+					t.Errorf("partition %d merged from %q, the rule picks %q", p, pr.MergedFrom, refFrom[p])
+				}
+			}
+			want := ref.TopK(ref.Stats().Cells)
+			got, _, _ := tc.g.TopK(ref.Stats().Cells)
+			if len(got) != len(want) {
+				t.Fatalf("view holds %d entries, the rule's view %d", len(got), len(want))
+			}
+			for i := range want {
+				w, g := want[i], got[i]
+				if g.Item != w.Item || g.Frequency != w.Frequency ||
+					g.Persistency != w.Persistency || g.Significance != w.Significance {
+					t.Fatalf("entry %d = %+v, the rule's view has %+v", i, g, w)
+				}
+			}
+		})
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -331,13 +332,17 @@ type httpSite struct {
 	c *client.Client
 }
 
-// FetchCheckpoint downloads one partition checkpoint, mapping the
-// server's 404 for an unknown namespace to ErrNoPartition.
-func (h httpSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, error) {
-	img, err := h.c.Tenant(ns).Checkpoint(ctx)
+// FetchCheckpoint downloads one partition checkpoint, conditional on tag
+// when it is non-empty, mapping the server's 404 for an unknown namespace
+// to ErrNoPartition and its 304 to ErrUnchanged.
+func (h httpSite) FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte, error) {
+	img, err := h.c.Tenant(ns).CheckpointIfChanged(ctx, tag)
 	var apiErr *client.APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+	switch {
+	case errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound:
 		return nil, cluster.ErrNoPartition
+	case errors.Is(err, client.ErrNotModified):
+		return nil, cluster.ErrUnchanged
 	}
 	return img, err
 }
@@ -362,6 +367,10 @@ func (h httpSite) Ready(ctx context.Context) error {
 	return h.c.Ready(ctx)
 }
 
+// maxTopK bounds the k a /v1/topk request may ask for, as the node's top
+// route does.
+const maxTopK = 1 << 20
+
 // topKResponse is the /v1/topk payload.
 type topKResponse struct {
 	Epoch         int                 `json:"epoch"`
@@ -374,10 +383,13 @@ type topKResponse struct {
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	k := 10
 	if v := r.URL.Query().Get("k"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &k); err != nil || k < 1 {
-			httpError(w, http.StatusBadRequest, "bad_request", "k must be a positive integer")
+		parsed, err := strconv.Atoi(v)
+		if err != nil || parsed < 1 || parsed > maxTopK {
+			httpError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("k must be a decimal integer in [1, %d]", maxTopK))
 			return
 		}
+		k = parsed
 	}
 	entries, info, ok := s.gatherer.TopK(k)
 	if !ok {
@@ -436,6 +448,7 @@ type statsResponse struct {
 	Commits          uint64               `json:"commits"`
 	StaleRounds      uint64               `json:"stale_rounds"`
 	Fetches          uint64               `json:"fetches"`
+	FetchesUnchanged uint64               `json:"fetches_unchanged"`
 	FetchErrors      uint64               `json:"fetch_errors"`
 	SiteSkips        map[string]uint64    `json:"site_skips"`
 	Breakers         map[string]string    `json:"breakers"`
@@ -455,6 +468,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Commits:          st.Commits,
 		StaleRounds:      st.StaleRounds,
 		Fetches:          st.Fetches,
+		FetchesUnchanged: st.FetchesUnchanged,
 		FetchErrors:      st.FetchErrors,
 		SiteSkips:        st.SiteSkips,
 		Breakers:         make(map[string]string, len(st.BreakerState)),
@@ -506,6 +520,9 @@ func (s *Server) collectCluster(w *obs.Writer) {
 		"Checkpoint fetch attempts, retries included.", float64(st.Fetches))
 	w.Counter("sigstream_cluster_fetch_errors_total",
 		"Checkpoint fetch attempts that failed.", float64(st.FetchErrors))
+	w.Counter("sigstream_cluster_fetches_unchanged_total",
+		"Conditional checkpoint fetch attempts a site answered with no image, its partition matching the replica image already fetched.",
+		float64(st.FetchesUnchanged))
 	w.Gauge("sigstream_cluster_sites",
 		"Member sites in the topology.", float64(st.Sites))
 	w.Gauge("sigstream_cluster_sites_healthy",

@@ -22,25 +22,84 @@ import (
 // fixture is a three-node cluster: real sigserver handlers behind
 // httptest listeners, one coordinator in front.
 type fixture struct {
-	sites []string
-	srvs  map[string]*httptest.Server
-	coord *Server
+	sites  []string
+	srvs   map[string]*httptest.Server
+	nodes  map[string]*server.Server
+	meters map[string]*siteMeter
+	coord  *Server
+}
+
+// siteMeter wraps a node's handler and counts the checkpoint images it
+// ships, and their bytes.
+type siteMeter struct {
+	h      http.Handler
+	images atomic.Int64
+	bytes  atomic.Int64
+}
+
+func (m *siteMeter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasSuffix(r.URL.Path, "/checkpoint") {
+		m.h.ServeHTTP(w, r)
+		return
+	}
+	mw := &meterWriter{ResponseWriter: w}
+	m.h.ServeHTTP(mw, r)
+	if mw.status == http.StatusOK {
+		m.images.Add(1)
+		m.bytes.Add(mw.n)
+	}
+}
+
+// meterWriter records a response's status and body length.
+type meterWriter struct {
+	http.ResponseWriter
+	status int
+	n      int64
+}
+
+func (w *meterWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *meterWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	n, err := w.ResponseWriter.Write(b)
+	w.n += int64(n)
+	return n, err
+}
+
+// startNodes serves three nodes with partition tenants of tenantBytes,
+// each behind a siteMeter on a loopback listener closed at cleanup.
+func startNodes(tb testing.TB, tenantBytes int) (sites []string, srvs map[string]*httptest.Server,
+	nodes map[string]*server.Server, meters map[string]*siteMeter) {
+	srvs = make(map[string]*httptest.Server)
+	nodes = make(map[string]*server.Server)
+	meters = make(map[string]*siteMeter)
+	for i := 0; i < 3; i++ {
+		node := server.New(server.Config{
+			MemoryBytes:       128 << 10,
+			TenantMemoryBytes: tenantBytes,
+			Shards:            2,
+			Weights:           sigstream.Weights{Alpha: 1, Beta: 1},
+		})
+		m := &siteMeter{h: node}
+		srv := httptest.NewServer(m)
+		tb.Cleanup(func() { srv.Close(); _ = node.Close() })
+		sites = append(sites, srv.URL)
+		srvs[srv.URL], nodes[srv.URL], meters[srv.URL] = srv, node, m
+	}
+	return sites, srvs, nodes, meters
 }
 
 func newFixture(t *testing.T, partitions, replicas int) *fixture {
 	t.Helper()
-	f := &fixture{srvs: make(map[string]*httptest.Server)}
-	for i := 0; i < 3; i++ {
-		srv := httptest.NewServer(server.New(server.Config{
-			MemoryBytes:       128 << 10,
-			TenantMemoryBytes: 32 << 10,
-			Shards:            2,
-			Weights:           sigstream.Weights{Alpha: 1, Beta: 1},
-		}))
-		t.Cleanup(srv.Close)
-		f.sites = append(f.sites, srv.URL)
-		f.srvs[srv.URL] = srv
-	}
+	f := &fixture{}
+	f.sites, f.srvs, f.nodes, f.meters = startNodes(t, 32<<10)
 	c, err := New(Config{
 		Sites:        f.sites,
 		Partitions:   partitions,
@@ -416,5 +475,182 @@ func TestCoordConfigValidation(t *testing.T) {
 	defer s.Close()
 	if got := s.Topology().Replicas(); got != 2 {
 		t.Fatalf("clamped replicas = %d, want 2", got)
+	}
+}
+
+// TestCoordTopKBadK: k is a decimal integer in [1, 1<<20], as on the node
+// top route; anything else answers 400 bad_request.
+func TestCoordTopKBadK(t *testing.T) {
+	f := newFixture(t, 2, 1)
+	f.load(t, 8)
+	f.coord.GatherNow(context.Background())
+	for _, c := range []struct {
+		k    string
+		code int
+	}{
+		{"1e3", http.StatusBadRequest},
+		{"10abc", http.StatusBadRequest},
+		{"0x10", http.StatusBadRequest},
+		{"7%20", http.StatusBadRequest},
+		{"0", http.StatusBadRequest},
+		{"1048577", http.StatusBadRequest},
+		{"1048576", http.StatusOK},
+		{"5", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		f.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/topk?k="+c.k, nil))
+		if rec.Code != c.code {
+			t.Errorf("k=%s: status %d, want %d", c.k, rec.Code, c.code)
+			continue
+		}
+		if c.code == http.StatusBadRequest {
+			var env struct {
+				Code string `json:"code"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code != "bad_request" {
+				t.Errorf("k=%s: envelope %q (%v), want code bad_request", c.k, rec.Body.String(), err)
+			}
+		}
+	}
+	var view struct {
+		Entries []any `json:"entries"`
+	}
+	if f.get(t, "/v1/topk?k=5", &view); len(view.Entries) != 5 {
+		t.Fatalf("k=5 answered %d entries", len(view.Entries))
+	}
+}
+
+// TestCoordConditionalFetchKeepsSelection runs the freshest-replica rule
+// against real nodes: later replicas are asked with the first image's
+// tag, so agreeing replicas ship one image per partition, and the
+// committed view is the one the rule builds from every replica's image.
+func TestCoordConditionalFetchKeepsSelection(t *testing.T) {
+	const parts = 4
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		// diverge changes partition 0's first or second replica, through
+		// a client of that site, before the round.
+		diverge     func(ns string, first, second *client.Client) error
+		firstDown   bool // partition 0's first replica is shut down
+		wantShipped int64
+		wantFrom    int // replica index whose image partition 0 merges
+	}{
+		{"identical", nil, false, parts, 0},
+		{"second fresher by a period", func(ns string, _, second *client.Client) error {
+			_, err := second.Tenant(ns).EndPeriod(ctx)
+			return err
+		}, false, parts + 1, 1},
+		{"second behind on arrivals", func(ns string, first, _ *client.Client) error {
+			_, err := first.Tenant(ns).Insert(ctx, "extra")
+			return err
+		}, false, parts + 1, 0},
+		{"first unreachable", nil, true, parts, 1},
+		{"first empty", func(ns string, first, _ *client.Client) error {
+			return first.DeleteTenant(ctx, ns)
+		}, false, parts, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, parts, 2)
+			for p := 0; p < 3; p++ {
+				f.load(t, 40)
+				f.coord.closePeriods()
+			}
+			topo := f.coord.Topology()
+			reps := topo.ReplicaSites(0)
+			if c.diverge != nil {
+				first := client.New(reps[0], f.srvs[reps[0]].Client())
+				second := client.New(reps[1], f.srvs[reps[1]].Client())
+				if err := c.diverge(cluster.PartitionNamespace(0), first, second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.firstDown {
+				f.srvs[reps[0]].Close()
+			}
+
+			// The rule's view, from every live replica's image.
+			var winners []*sigstream.Sharded
+			from := make([]string, parts)
+			for p := range from {
+				ns := cluster.PartitionNamespace(p)
+				var best *sigstream.Sharded
+				var bestSt sigstream.Stats
+				for _, site := range topo.ReplicaSites(p) {
+					if c.firstDown && site == reps[0] {
+						continue
+					}
+					tn, err := f.nodes[site].Tenants().Get(ns)
+					if err != nil {
+						continue
+					}
+					img, err := tn.CheckpointImage()
+					if err != nil {
+						t.Fatal(err)
+					}
+					dec := new(sigstream.Sharded)
+					if err := dec.UnmarshalBinary(img); err != nil {
+						t.Fatal(err)
+					}
+					st := dec.Stats()
+					if best == nil || st.Periods > bestSt.Periods ||
+						(st.Periods == bestSt.Periods && st.Arrivals > bestSt.Arrivals) {
+						best, bestSt, from[p] = dec, st, site
+					}
+				}
+				if best != nil {
+					winners = append(winners, best)
+				}
+			}
+			ref, err := sigstream.MergeSharded(winners...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var before int64
+			for _, m := range f.meters {
+				before += m.images.Load()
+			}
+			rep := f.coord.gatherer.Round(ctx)
+			if !rep.Committed {
+				t.Fatalf("round did not commit: %+v", rep)
+			}
+			var shipped int64
+			for _, m := range f.meters {
+				shipped += m.images.Load()
+			}
+			if shipped -= before; shipped != c.wantShipped {
+				t.Errorf("sites shipped %d images, want %d", shipped, c.wantShipped)
+			}
+			if got := rep.Partitions[0].MergedFrom; got != reps[c.wantFrom] {
+				t.Errorf("partition 0 merged from %q, want %q", got, reps[c.wantFrom])
+			}
+			for p, pr := range rep.Partitions {
+				if pr.MergedFrom != from[p] {
+					t.Errorf("partition %d merged from %q, the rule picks %q", p, pr.MergedFrom, from[p])
+				}
+			}
+			if c.name == "identical" {
+				rec := httptest.NewRecorder()
+				f.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if want := fmt.Sprintf("sigstream_cluster_fetches_unchanged_total %d\n", parts); !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("metrics lack %q", want)
+				}
+			}
+			cells := ref.Stats().Cells
+			want := ref.TopK(cells)
+			got, _, _ := f.coord.TopKView(cells)
+			if len(got) != len(want) {
+				t.Fatalf("view holds %d entries, the rule's view %d", len(got), len(want))
+			}
+			for i := range want {
+				w, g := want[i], got[i]
+				if g.Item != w.Item || g.Frequency != w.Frequency ||
+					g.Persistency != w.Persistency || g.Significance != w.Significance {
+					t.Fatalf("entry %d = %+v, the rule's view has %+v", i, g, w)
+				}
+			}
+		})
 	}
 }

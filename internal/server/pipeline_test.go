@@ -9,8 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sigstream"
+	"sigstream/internal/fault"
 )
 
 // readAll drains and closes a response body.
@@ -205,5 +207,29 @@ func TestServerCloseStopsIngestion(t *testing.T) {
 	st := decode[statsResponse](t, get(t, piped.URL+"/v1/stats"))
 	if st.Tracker.Arrivals != 1 {
 		t.Fatalf("tracker saw %d arrivals, want 1", st.Tracker.Arrivals)
+	}
+}
+
+// TestCheckpointTagPipelined: a pipelined tenant's tag counts every
+// accepted insert, because the checkpoint route runs the pipeline barrier
+// before it reads the tag. Workers are slowed so that inserts are still
+// queued when the tag is asked for.
+func TestCheckpointTagPipelined(t *testing.T) {
+	deactivate := fault.Activate(fault.PipelineSlow, func(int) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	t.Cleanup(func() { deactivate() })
+	piped, _, _ := newPipelinedServer(t)
+	var body strings.Builder
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&body, "key-%d\n", i%197)
+	}
+	for round := uint64(1); round <= 5; round++ {
+		post(t, piped.URL+"/v1/insert", body.String()).Body.Close()
+		tag := sigstream.CheckpointTag(0, 4000*round)
+		if code, _ := getTagged(t, piped.URL+"/v1/checkpoint", tag); code != http.StatusNotModified {
+			t.Fatalf("round %d: tag %s answered %d, want 304", round, tag, code)
+		}
 	}
 }

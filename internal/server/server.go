@@ -829,10 +829,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, tn *tenant.
 	})
 }
 
+// handleCheckpoint ships the tenant's image. A request whose
+// If-None-Match is exactly the tracker's sigstream.CheckpointTag gets 304
+// with no body and costs no encode. That tag is a private version tag a
+// gathering coordinator computes from an image it already holds, not an
+// HTTP entity tag: the route sends no ETag and compares the header byte
+// for byte, so "*", a weak tag or a tag list gets the image.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
-	img, err := tn.CheckpointImage()
+	img, changed, err := tn.CheckpointImageIfChanged(r.Header.Get("If-None-Match"))
 	if err != nil {
 		s.tenantError(w, err)
+		return
+	}
+	if !changed {
+		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

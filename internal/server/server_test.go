@@ -249,6 +249,68 @@ func TestCheckpointRestoreFlow(t *testing.T) {
 	}
 }
 
+// getTagged fetches url with If-None-Match set to tag, returning the
+// status and the body.
+func getTagged(t *testing.T, url, tag string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != "" {
+		req.Header.Set("If-None-Match", tag)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// imageTag is the version tag of a checkpoint image.
+func imageTag(t *testing.T, img []byte) string {
+	t.Helper()
+	dec := new(sigstream.Sharded)
+	if err := dec.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	st := dec.Stats()
+	return sigstream.CheckpointTag(st.Periods, st.Arrivals)
+}
+
+// TestCheckpointIfNoneMatch: on both checkpoint routes exactly the
+// tracker's own tag answers 304 with no body, and any other value, or
+// none, the image. The tag is compared byte for byte, so "*", the weak
+// form and a list holding the tag get the image too, as README states.
+func TestCheckpointIfNoneMatch(t *testing.T) {
+	srv := newTestServer(t)
+	for _, prefix := range []string{"/v1/t/red", "/v1"} {
+		post(t, srv.URL+prefix+"/insert", "alpha\nalpha\nbeta\n").Body.Close()
+		post(t, srv.URL+prefix+"/period", "").Body.Close()
+		url := srv.URL + prefix + "/checkpoint"
+		code, img := getTagged(t, url, "")
+		if code != http.StatusOK || len(img) == 0 {
+			t.Fatalf("%s: status %d, %d bytes", url, code, len(img))
+		}
+		tag := imageTag(t, img)
+		if code, body := getTagged(t, url, tag); code != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("%s with its own tag: status %d, %d bytes; want 304, none", url, code, len(body))
+		}
+		for _, other := range []string{sigstream.CheckpointTag(1, 2), "*", `W/` + tag, tag + ", " + sigstream.CheckpointTag(1, 2)} {
+			if code, body := getTagged(t, url, other); code != http.StatusOK || !bytes.Equal(body, img) {
+				t.Fatalf("%s with tag %s: status %d, %d bytes; want the %d-byte image", url, other, code, len(body), len(img))
+			}
+		}
+	}
+	if code, _ := getTagged(t, srv.URL+"/v1/t/ghost/checkpoint", sigstream.CheckpointTag(0, 0)); code != http.StatusNotFound {
+		t.Fatalf("unknown namespace with a tag: status %d, want 404", code)
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	srv := newTestServer(t)
 	resp, err := http.Post(srv.URL+"/v1/restore", "application/octet-stream",

@@ -751,8 +751,17 @@ func (t *Tenant) barrierRLocked() error {
 // markers, so a snapshot of the state applied so far stays possible even
 // after an ingest failure.
 func (t *Tenant) CheckpointImage() ([]byte, error) {
+	img, _, err := t.CheckpointImageIfChanged("")
+	return img, err
+}
+
+// CheckpointImageIfChanged is CheckpointImage made conditional: when tag
+// equals the tracker's sigstream.CheckpointTag, read after the barrier,
+// it encodes nothing and reports changed false. The comparison is exact;
+// the empty tag matches no tracker.
+func (t *Tenant) CheckpointImageIfChanged(tag string) (img []byte, changed bool, err error) {
 	if err := t.acquire(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer t.mu.RUnlock()
 	if err := t.barrierRLocked(); err != nil {
@@ -760,7 +769,16 @@ func (t *Tenant) CheckpointImage() ([]byte, error) {
 			"tenant", t.ns, "err", err)
 	}
 	t.touch()
-	return t.tracker.MarshalBinary()
+	if tag != "" {
+		st := t.tracker.Stats()
+		if tag == sigstream.CheckpointTag(st.Periods, st.Arrivals) {
+			return nil, false, nil
+		}
+	}
+	if img, err = t.tracker.MarshalBinary(); err != nil {
+		return nil, false, err
+	}
+	return img, true, nil
 }
 
 // RestoreImage validates a checkpoint image against the tenant's
