@@ -128,8 +128,9 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzWALDecode$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run=^$$ -fuzz='^FuzzIngestDecode$$' -fuzztime=10s ./internal/ingest/
 
-# The fault-injection suite under race: worker crash/restart/quarantine,
-# slow-shard shedding, torn snapshots, and the kill -9 recovery round-trip.
+# The fault-injection suite under race: the library pipeline's worker
+# crash/restart/quarantine and slow-shard backpressure, torn snapshots,
+# binary ingest crashes, and the server's kill -9 recovery round-trips.
 chaos:
 	$(GO) test -race -run '^TestChaos' ./internal/pipeline/ ./internal/snapshot/ ./internal/server/ .
 

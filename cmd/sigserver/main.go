@@ -61,12 +61,12 @@
 // sigstream_ingest_udp_drops_total), and -ingest-max-frame caps frame
 // payloads. siggen -ingest streams a workload straight at it.
 //
-// Robustness: request bodies are capped at -max-body (413 beyond it),
-// connections are bounded by -read-timeout/-write-timeout, and with
-// -pipeline the ingest path sheds load with 429 once the rings pass
-// -shed-highwater of capacity. /healthz is the liveness probe, /readyz
-// the readiness probe (503 during startup restore, after a pipeline
-// quarantine, and while shutting down).
+// Robustness: request bodies are capped at -max-body (413 beyond it) and
+// connections are bounded by -read-timeout/-write-timeout. Every insert
+// is applied before it is acknowledged: a 200 (or a binary StatusOK)
+// means the batch is applied, and with -wal-dir fsynced first. /healthz
+// is the liveness probe, /readyz the readiness probe (503 during startup
+// restore and while shutting down).
 //
 // Observability: every request is logged structurally (method, path,
 // status, bytes, duration); requests slower than -slow log at WARN.
@@ -108,8 +108,6 @@ func main() {
 	flag.Var(&fo.Slow, "slow", "slow-request log threshold (0 disables)")
 	flag.StringVar(&fo.LogLevel, "log-level", fo.LogLevel, "log level: debug, info, warn, error (debug logs every request)")
 	flag.BoolVar(&fo.Pprof, "pprof", fo.Pprof, "mount /debug/pprof (opt-in; exposes profiling data)")
-	flag.BoolVar(&fo.Pipeline, "pipeline", fo.Pipeline, "route /v1/insert through the asynchronous sharded pipeline")
-	flag.IntVar(&fo.PipelineRing, "pipeline-ring", fo.PipelineRing, "per-shard pipeline ring capacity in batches (0 = default)")
 	flag.StringVar(&fo.SnapshotDir, "snapshot-dir", fo.SnapshotDir, "snapshot directory; empty disables crash-safe checkpoints")
 	flag.Var(&fo.SnapshotInterval, "snapshot-interval", "periodic checkpoint cadence (0 = only the final snapshot on shutdown)")
 	flag.IntVar(&fo.SnapshotRetain, "snapshot-retain", fo.SnapshotRetain, "snapshots to keep (0 = default)")
@@ -128,8 +126,6 @@ func main() {
 	flag.Int64Var(&fo.MaxBody, "max-body", fo.MaxBody, "request body cap in bytes (0 = default 32 MiB)")
 	flag.Var(&fo.ReadTimeout, "read-timeout", "per-connection read deadline (0 disables)")
 	flag.Var(&fo.WriteTimeout, "write-timeout", "per-connection write deadline (0 disables)")
-	flag.Float64Var(&fo.ShedHighWater, "shed-highwater", fo.ShedHighWater, "load-shed threshold as a fraction of ring capacity (0 = default 0.9, negative disables)")
-	flag.IntVar(&fo.RestartBudget, "restart-budget", fo.RestartBudget, "pipeline worker restarts tolerated per shard per minute before quarantine (0 = default 3)")
 	flag.Var(&fo.DrainTimeout, "drain-timeout", "graceful shutdown deadline for in-flight requests")
 	flag.Parse()
 
@@ -205,7 +201,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests up to
-	// the deadline, then take the final snapshot and release the pipeline.
+	// the deadline, then take the final snapshot and close the logs.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -213,7 +209,7 @@ func main() {
 
 	logger.Info("sigserver listening", "addr", opts.Addr, "mem_bytes", opts.MemoryBytes,
 		"alpha", opts.Alpha, "beta", opts.Beta, "shards", opts.Shards, "pprof", opts.Pprof,
-		"pipeline", opts.Pipeline, "snapshot_dir", opts.SnapshotDir, "wal_dir", opts.WALDir)
+		"snapshot_dir", opts.SnapshotDir, "wal_dir", opts.WALDir)
 
 	select {
 	case err := <-errc:

@@ -136,8 +136,9 @@ var ErrNotTracked = fmt.Errorf("sigstream client: key not tracked")
 // matched the tenant's tracker: the server shipped no image.
 var ErrNotModified = fmt.Errorf("sigstream client: checkpoint not modified")
 
-// ThrottledError reports a 429 — the tenant's quota is exhausted or the
-// ingest queue is at its high-water mark — with the server's retry hint.
+// ThrottledError reports a 429 — the tenant's ingest quota is exhausted
+// and the batch was neither logged nor applied — with the server's retry
+// hint.
 type ThrottledError struct {
 	// RetryAfter is the server's suggested backoff.
 	RetryAfter time.Duration
@@ -256,8 +257,8 @@ func (c *Client) DeleteTenant(ctx context.Context, ns string) error {
 
 // Ready probes the service's readiness endpoint: nil when it is
 // accepting traffic, a typed error (usually a 503 *APIError) while it
-// restores, quarantines, drains — or, for a coordinator, before its
-// first committed view.
+// restores or drains — or, for a coordinator, before its first committed
+// view.
 func (c *Client) Ready(ctx context.Context) error {
 	resp, err := c.get(ctx, "/readyz")
 	if err != nil {
@@ -427,7 +428,7 @@ type Tenant struct {
 func (t *Tenant) Namespace() string { return t.ns }
 
 // Insert ships a batch of keys (one arrival each, in order) and returns
-// the number the service ingested. A quota breach or load shed returns a
+// the number the service ingested. A quota breach returns a
 // *ThrottledError with the server's backoff hint.
 func (t *Tenant) Insert(ctx context.Context, keys ...string) (uint64, error) {
 	body := strings.Join(keys, "\n")

@@ -5,7 +5,7 @@
 // with request setup, base-10 parsing and per-request allocation long
 // before the tracker core is the bottleneck; here a batch is decoded
 // zero-copy — key bytes are hashed straight out of the receive buffer
-// into the pooled []uint64 slice the pipeline already consumes.
+// into the pooled []uint64 slice the tracker's batch insert consumes.
 //
 // Client frame (little-endian):
 //
@@ -91,13 +91,12 @@ const (
 // closes the connection after the ack (when the envelope was readable
 // enough to carry a sequence number).
 const (
-	// StatusOK: the period is closed, or the batch is accepted: fsynced
-	// when a WAL is configured, then applied — or, on a pipelined tenant,
-	// only queued for the shard workers, which apply it before the
-	// tenant's next read or period close.
+	// StatusOK: the period is closed, or the batch is logged (fsynced
+	// when a WAL is configured) and applied, so every later read sees it.
 	StatusOK byte = 0
-	// StatusThrottled: the tenant's quota or pipeline high-water mark
-	// refused the batch; retry after the hinted delay.
+	// StatusThrottled: the tenant's quota refused the batch, which was
+	// neither logged nor applied; retry after the hinted delay. Pinned
+	// tenants (the default namespace) are never throttled.
 	StatusThrottled byte = 1
 	// StatusBadFrame: the frame failed structural validation.
 	StatusBadFrame byte = 2

@@ -50,7 +50,7 @@ type Stats struct {
 	// Bytes counts TCP wire bytes consumed (headers and trailers
 	// included).
 	Bytes uint64
-	// Throttled counts frames refused by quota or pipeline high water.
+	// Throttled counts frames refused by the tenant's quota.
 	Throttled uint64
 	// Refused counts frames naming an invalid or deleted namespace.
 	Refused uint64
@@ -225,7 +225,7 @@ func (s *Server) Collect(w *obs.Writer) {
 	w.Counter("sigstream_ingest_bytes_total",
 		"Binary ingest wire bytes consumed.", float64(st.Bytes))
 	w.Counter("sigstream_ingest_throttled_total",
-		"Binary ingest frames refused by quota or backpressure.", float64(st.Throttled))
+		"Binary ingest frames refused by the tenant's quota.", float64(st.Throttled))
 	w.Counter("sigstream_ingest_refused_total",
 		"Binary ingest frames naming an invalid or deleted namespace.", float64(st.Refused))
 	w.Counter("sigstream_ingest_bad_frames_total",
@@ -363,10 +363,6 @@ func (s *Server) serve(c net.Conn) {
 // applyBatch feeds one decoded batch to its tenant and maps the result
 // to an ack.
 func (s *Server) applyBatch(tn *tenant.Tenant, seq uint32, sc *Scratch) Ack {
-	if tn.Overloaded() {
-		s.throttled.Add(1)
-		return Ack{Seq: seq, Status: StatusThrottled, RetryAfter: 1}
-	}
 	got, err := tn.IngestWire(tenant.WireBatch{Keys: sc.Keys, Weights: sc.Weights, Items: sc.Items})
 	if err != nil {
 		return s.errAck(seq, err)
@@ -471,10 +467,6 @@ func (s *Server) udpLoop() {
 			}
 			s.periods.Add(1)
 		case TypeBatch:
-			if cur.Overloaded() {
-				s.udpDrops.Add(1)
-				continue
-			}
 			sc.Grow(records, arrivals)
 			DecodeBatch(p, h, records, sc)
 			got, err := cur.IngestWire(tenant.WireBatch{Keys: sc.Keys, Weights: sc.Weights, Items: sc.Items})

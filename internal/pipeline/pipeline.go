@@ -202,12 +202,8 @@ func New(sinks []Sink, opts Options) *Ingestor {
 // Shards reports the number of rings/workers.
 func (in *Ingestor) Shards() int { return len(in.sinks) }
 
-// RingCapacity reports each ring's capacity in batches.
-func (in *Ingestor) RingCapacity() int { return cap(in.rings[0]) }
-
 // MaxRingDepth reports the deepest ring's current queue depth in batches,
-// without allocating — cheap enough for a load-shed gate to poll on every
-// request.
+// without allocating.
 func (in *Ingestor) MaxRingDepth() int {
 	depth := 0
 	for _, r := range in.rings {

@@ -27,12 +27,10 @@ func quietLogger() *slog.Logger {
 // wrote the snapshot, exactly as one deployment restarting.
 func durableConfig() Config {
 	return Config{
-		MemoryBytes:  64 << 10,
-		Weights:      sigstream.Weights{Alpha: 1, Beta: 10},
-		Shards:       2,
-		Pipeline:     true,
-		PipelineRing: 8,
-		Logger:       quietLogger(),
+		MemoryBytes: 64 << 10,
+		Weights:     sigstream.Weights{Alpha: 1, Beta: 10},
+		Shards:      2,
+		Logger:      quietLogger(),
 	}
 }
 
@@ -57,10 +55,10 @@ func waitForStatus(t *testing.T, url string, want int) {
 
 // TestChaosCrashRecoveryRoundTrip is the headline durability check: a
 // server checkpoints mid-stream, dies without any shutdown (the handler
-// and its workers are simply abandoned, as kill -9 would), and a new
-// server pointed at the same snapshot directory comes back ready with a
-// ranking identical to the checkpoint. Inserts after the checkpoint are
-// lost — durability is bounded by the snapshot interval, never corrupt.
+// is simply abandoned, as kill -9 would), and a new server pointed at the
+// same snapshot directory comes back ready with a ranking identical to
+// the checkpoint. Inserts after the checkpoint are lost — durability is
+// bounded by the snapshot interval, never corrupt.
 func TestChaosCrashRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
@@ -161,138 +159,8 @@ func TestChaosRecoverySkipsTornSnapshot(t *testing.T) {
 	}
 }
 
-// TestChaosShedUnderOverload stalls the single shard worker and keeps
-// inserting: once the ring hits the high-water mark the server must answer
-// 429 with Retry-After instead of stalling handler goroutines, count the
-// shed on /metrics, and accept traffic again when the stall clears.
-func TestChaosShedUnderOverload(t *testing.T) {
-	gate := make(chan struct{})
-	deactivate := fault.Activate(fault.PipelineSlow, func(shard int) error {
-		<-gate
-		return nil
-	})
-	t.Cleanup(func() { deactivate() })
-
-	cfg := durableConfig()
-	cfg.Shards = 1
-	cfg.PipelineRing = 1
-	h := New(cfg)
-	srv := httptest.NewServer(h)
-	t.Cleanup(func() { srv.Close(); _ = h.Close() })
-
-	// Each accepted insert is either picked up by the stalled worker or
-	// parked in the 1-deep ring; within a few posts the gate trips.
-	var shed *http.Response
-	deadline := time.Now().Add(10 * time.Second)
-	for shed == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("insert never shed despite a stalled worker and a full ring")
-		}
-		resp := post(t, srv.URL+"/v1/insert", "hot\n")
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shed = resp
-			break
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("insert status %d, want 200 or 429", resp.StatusCode)
-		}
-	}
-	if got := shed.Header.Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", got)
-	}
-	shed.Body.Close()
-
-	metrics, err := readAll(get(t, srv.URL+"/metrics"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(metrics), "sigstream_http_shed_total") ||
-		strings.Contains(string(metrics), "sigstream_http_shed_total 0") {
-		t.Fatalf("/metrics does not report the shed: %s", metrics)
-	}
-
-	// Clear the stall: the queued work drains and ingest recovers. The
-	// worker drains the ring asynchronously, so wait until /metrics shows
-	// it empty; the very next insert must then be accepted.
-	close(gate)
-	deactivate()
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		metrics, err := readAll(get(t, srv.URL+"/metrics"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(metrics), `sigstream_pipeline_ring_depth{shard="0"} 0`+"\n") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ring never drained after the stall cleared: %s", metrics)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	resp := post(t, srv.URL+"/v1/insert", "hot\n")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("insert after the stall cleared: status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestChaosReadyzDegradedOnQuarantine drives the pipeline past its restart
-// budget with injected sink panics: /readyz must flip to 503 naming the
-// quarantine while /healthz stays 200 (the process is alive, just not fit
-// for traffic), and /metrics must show the restart history.
-func TestChaosReadyzDegradedOnQuarantine(t *testing.T) {
-	deactivate := fault.Activate(fault.PipelineSink, func(shard int) error {
-		panic("injected sink crash")
-	})
-	t.Cleanup(deactivate)
-
-	cfg := durableConfig()
-	cfg.Shards = 1
-	cfg.PipelineRestartBudget = 1
-	h := New(cfg)
-	srv := httptest.NewServer(h)
-	t.Cleanup(func() { srv.Close(); _ = h.Close() })
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		post(t, srv.URL+"/v1/insert", "boom\n").Body.Close()
-		resp := get(t, srv.URL+"/readyz")
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			body, _ := readAll(resp)
-			if !strings.Contains(string(body), "quarantined") {
-				t.Fatalf("degraded /readyz body %q does not name the quarantine", body)
-			}
-			break
-		}
-		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("/readyz never degraded despite a persistently panicking sink")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	live := get(t, srv.URL+"/healthz")
-	live.Body.Close()
-	if live.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz = %d on a degraded server, want 200", live.StatusCode)
-	}
-	metrics, err := readAll(get(t, srv.URL+"/metrics"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		"sigstream_pipeline_restarts_total 2",
-		"sigstream_pipeline_quarantined_shards 1",
-	} {
-		if !strings.Contains(string(metrics), series) {
-			t.Fatalf("/metrics missing %q:\n%s", series, metrics)
-		}
-	}
-}
-
-// TestCloseIdempotentUnderConcurrentRequests hammers a pipelined server
-// with inserts while two goroutines race Close: nothing may panic or
+// TestCloseIdempotentUnderConcurrentRequests hammers a server with
+// inserts while two goroutines race Close: nothing may panic or
 // deadlock, every request must complete (200 or 503), and every Close
 // after the first must return nil.
 func TestCloseIdempotentUnderConcurrentRequests(t *testing.T) {
@@ -353,7 +221,6 @@ func TestCloseIdempotentUnderConcurrentRequests(t *testing.T) {
 // a body under the limit still works.
 func TestBodyLimitReturns413(t *testing.T) {
 	cfg := durableConfig()
-	cfg.Pipeline = false
 	cfg.MaxBodyBytes = 64
 	h := New(cfg)
 	srv := httptest.NewServer(h)
@@ -380,22 +247,17 @@ func TestBodyLimitReturns413(t *testing.T) {
 }
 
 // TestHealthEndpointsOnHealthyServer pins the happy-path contract: both
-// probes answer 200 on a fresh server, with and without a pipeline.
+// probes answer 200 on a fresh server.
 func TestHealthEndpointsOnHealthyServer(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		cfg := durableConfig()
-		cfg.Pipeline = pipelined
-		h := New(cfg)
-		srv := httptest.NewServer(h)
-		for _, path := range []string{"/healthz", "/readyz"} {
-			resp := get(t, srv.URL+path)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("pipeline=%v %s = %d, want 200", pipelined, path, resp.StatusCode)
-			}
+	h := New(durableConfig())
+	srv := httptest.NewServer(h)
+	t.Cleanup(func() { srv.Close(); _ = h.Close() })
+	for _, path := range []string{"/healthz", "/readyz"} {
+		resp := get(t, srv.URL+path)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s = %d, want 200", path, resp.StatusCode)
 		}
-		srv.Close()
-		_ = h.Close()
 	}
 }
 

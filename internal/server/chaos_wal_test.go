@@ -12,11 +12,10 @@ import (
 	"sigstream/internal/fault"
 )
 
-// walConfig is the geometry shared by the WAL chaos tests. The pipeline
-// stays off so an acknowledged insert is also applied (read-your-writes),
-// which lets a test capture the exact pre-crash ranking to compare the
-// recovered server against; TestChaosWALPipelinedCrash covers the
-// asynchronous combination separately.
+// walConfig is the geometry shared by the WAL chaos tests. An
+// acknowledged insert is also applied (read-your-writes), which lets a
+// test capture the exact pre-crash ranking to compare the recovered
+// server against.
 func walConfig(base string) Config {
 	return Config{
 		MemoryBytes: 64 << 10,
@@ -108,49 +107,6 @@ func TestChaosWALCrashLosesNothingAcked(t *testing.T) {
 	if gotStats.Tracker.Arrivals != preStats.Tracker.Arrivals {
 		t.Fatalf("recovered tracker arrivals %d, want %d",
 			gotStats.Tracker.Arrivals, preStats.Tracker.Arrivals)
-	}
-}
-
-// TestChaosWALPipelinedCrash runs the same crash with the asynchronous
-// ingest pipeline on: the ack still waits for the fsync (durability is
-// the WAL's, not the pipeline's), so after the apply side drains, a
-// crash must again lose nothing acknowledged.
-func TestChaosWALPipelinedCrash(t *testing.T) {
-	base := t.TempDir()
-	cfg := walConfig(base)
-	cfg.Pipeline = true
-	cfg.PipelineRing = 8
-
-	a := New(cfg)
-	srvA := httptest.NewServer(a)
-	post(t, srvA.URL+"/v1/insert", distinctWorkload(6)).Body.Close()
-
-	// The ack precedes the asynchronous apply; poll until the pipeline
-	// has drained so the pre-kill ranking is the full accepted prefix.
-	wantArrivals := uint64(6 * 7 / 2)
-	deadlineStats := func() statsResponse {
-		for i := 0; i < 2000; i++ {
-			st := decode[statsResponse](t, get(t, srvA.URL+"/v1/stats"))
-			if st.Tracker.Arrivals == wantArrivals {
-				return st
-			}
-		}
-		t.Fatalf("pipeline never drained to %d arrivals", wantArrivals)
-		return statsResponse{}
-	}
-	preStats := deadlineStats()
-	preKill := mustTop(t, srvA.URL, 6)
-	srvA.Close() // kill -9, workers abandoned mid-flight
-
-	b := New(cfg)
-	srvB := httptest.NewServer(b)
-	t.Cleanup(func() { srvB.Close(); _ = b.Close() })
-	waitForStatus(t, srvB.URL+"/readyz", http.StatusOK)
-
-	requireSameRanking(t, mustTop(t, srvB.URL, 6), preKill)
-	gotStats := decode[statsResponse](t, get(t, srvB.URL+"/v1/stats"))
-	if gotStats.Tracker.Arrivals != preStats.Tracker.Arrivals {
-		t.Fatalf("recovered %d arrivals, want %d", gotStats.Tracker.Arrivals, preStats.Tracker.Arrivals)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 	"sigstream/internal/tenant"
 )
 
-// equivConfig is the geometry the ingest-equivalence tests share; the
-// pipeline stays off so both transports are read-your-writes.
+// equivConfig is the geometry the ingest-equivalence tests share.
 func equivConfig() Config {
 	return Config{
 		MemoryBytes: 64 << 10,

@@ -81,12 +81,6 @@ type Options struct {
 	LogLevel string `json:"log_level"`
 	// Pprof mounts /debug/pprof when true (-pprof).
 	Pprof bool `json:"pprof"`
-	// Pipeline routes ingest through the asynchronous sharded pipeline
-	// (-pipeline).
-	Pipeline bool `json:"pipeline"`
-	// PipelineRing is the per-shard ring capacity in batches, 0 =
-	// default (-pipeline-ring).
-	PipelineRing int `json:"pipeline_ring"`
 	// SnapshotDir enables crash-safe checkpoints; empty disables
 	// (-snapshot-dir).
 	SnapshotDir string `json:"snapshot_dir"`
@@ -140,12 +134,6 @@ type Options struct {
 	// WriteTimeout is the per-connection write deadline, 0 disables
 	// (-write-timeout).
 	WriteTimeout Duration `json:"write_timeout"`
-	// ShedHighWater is the load-shed threshold as a fraction of ring
-	// capacity: 0 = default 0.9, negative disables (-shed-highwater).
-	ShedHighWater float64 `json:"shed_highwater"`
-	// RestartBudget is pipeline worker restarts tolerated per shard per
-	// minute before quarantine, 0 = default (-restart-budget).
-	RestartBudget int `json:"restart_budget"`
 	// DrainTimeout is the graceful-shutdown deadline for in-flight
 	// requests (-drain-timeout).
 	DrainTimeout Duration `json:"drain_timeout"`
@@ -251,9 +239,6 @@ func (o Options) Validate() error {
 	if _, err := o.Level(); err != nil {
 		return fmt.Errorf("bad log_level %q: %w", o.LogLevel, err)
 	}
-	if o.PipelineRing < 0 || o.RestartBudget < 0 {
-		return fmt.Errorf("pipeline_ring and restart_budget must be non-negative")
-	}
 	if o.SnapshotRetain < 0 {
 		return fmt.Errorf("snapshot_retain must be non-negative, got %d", o.SnapshotRetain)
 	}
@@ -300,25 +285,21 @@ func (o Options) Level() (slog.Level, error) {
 func (o Options) ServerConfig(logger *slog.Logger) Config {
 	o = o.withDefaults()
 	return Config{
-		MemoryBytes:           o.MemoryBytes,
-		Weights:               sigstream.Weights{Alpha: o.Alpha, Beta: o.Beta},
-		Shards:                o.Shards,
-		DecayFactor:           o.Decay,
-		TenantMemoryBytes:     o.TenantMem,
-		TenantBudgetBytes:     o.TenantBudget,
-		TenantQuota:           o.TenantQuota,
-		TenantBurst:           o.TenantBurst,
-		TenantIdleAfter:       time.Duration(o.TenantIdle),
-		TenantMax:             o.TenantMax,
-		WALDir:                o.WALDir,
-		WALSyncInterval:       time.Duration(o.WALSync),
-		WALSegmentBytes:       o.WALSegment,
-		MaxBodyBytes:          o.MaxBody,
-		Pipeline:              o.Pipeline,
-		PipelineRing:          o.PipelineRing,
-		PipelineRestartBudget: o.RestartBudget,
-		ShedHighWater:         o.ShedHighWater,
-		Logger:                logger,
+		MemoryBytes:       o.MemoryBytes,
+		Weights:           sigstream.Weights{Alpha: o.Alpha, Beta: o.Beta},
+		Shards:            o.Shards,
+		DecayFactor:       o.Decay,
+		TenantMemoryBytes: o.TenantMem,
+		TenantBudgetBytes: o.TenantBudget,
+		TenantQuota:       o.TenantQuota,
+		TenantBurst:       o.TenantBurst,
+		TenantIdleAfter:   time.Duration(o.TenantIdle),
+		TenantMax:         o.TenantMax,
+		WALDir:            o.WALDir,
+		WALSyncInterval:   time.Duration(o.WALSync),
+		WALSegmentBytes:   o.WALSegment,
+		MaxBodyBytes:      o.MaxBody,
+		Logger:            logger,
 	}
 }
 

@@ -86,6 +86,29 @@ func TestLoadOptionsRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestLoadOptionsRejectsRemovedKeys: a config file written for a server
+// that still had pipelined ingest must fail to load, naming the key,
+// rather than start a server that silently ignores it.
+func TestLoadOptionsRejectsRemovedKeys(t *testing.T) {
+	for _, tc := range []struct{ key, value string }{
+		{"pipeline", "true"},
+		{"pipeline_ring", "64"},
+		{"shed_highwater", "0.9"},
+		{"restart_budget", "3"},
+	} {
+		path := filepath.Join(t.TempDir(), "config.json")
+		body := `{"` + tc.key + `": ` + tc.value + `}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadOptions(path); err == nil {
+			t.Errorf("%s: removed key accepted", body)
+		} else if !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s: error does not name the key: %v", body, err)
+		}
+	}
+}
+
 func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)

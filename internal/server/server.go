@@ -28,7 +28,7 @@
 //	POST   /v1/restore           legacy alias for /v1/t/default/restore
 //	GET    /metrics              Prometheus text exposition
 //	GET    /healthz              liveness: 200 while the process serves requests
-//	GET    /readyz               readiness: 200 when ingest is healthy and no restore is running
+//	GET    /readyz               readiness: 200 when no restore is running and Close has not begun
 //
 // Every endpoint is wrapped in obs.HTTPMetrics middleware keyed by route
 // pattern (bounded label cardinality), so /metrics reports per-endpoint
@@ -39,12 +39,12 @@
 // against a global memory budget, and spilled to tenant-labelled
 // snapshot directories when the budget fills or they idle — reviving
 // transparently, bit-identical, on the next touch. Per-tenant token
-// buckets answer a quota breach with 429 + Retry-After, the same
-// contract as the pipeline load-shed gate, so one noisy namespace cannot
-// starve another. The default tenant is pinned: never spilled, outside
-// budget and quota, carrying the exact single-tenant semantics this
-// server had before namespaces (including the optional pipelined ingest
-// path with self-healing workers and high-water load shedding).
+// buckets answer a quota breach with 429 + Retry-After, so one noisy
+// namespace cannot starve another. The default tenant is pinned: never
+// spilled, outside budget and quota, carrying the exact single-tenant
+// semantics this server had before namespaces. Every tenant ingests
+// through one synchronous path, so a 200 from an insert means the batch
+// is logged (with a WAL) and applied.
 //
 // Fault tolerance: StartSnapshots loads the default tenant from disk at
 // startup (newest valid checkpoint, then its WAL tail; legacy root-level
@@ -91,29 +91,6 @@ type Config struct {
 	// MaxBodyBytes caps an insert or restore request body (default 32 MiB);
 	// an oversized body is refused with 413 before it is buffered whole.
 	MaxBodyBytes int64
-	// Pipeline routes the default tenant's inserts through an asynchronous
-	// sigstream.Pipeline instead of the synchronous batch path: handler
-	// goroutines partition and enqueue, per-shard workers apply. Read
-	// endpoints and period/checkpoint flush the pipeline first, so
-	// responses keep read-your-writes semantics.
-	Pipeline bool
-	// PipelineRing is the per-shard ring capacity in batches when Pipeline
-	// is on (default sigstream's DefaultRingSize).
-	PipelineRing int
-	// PipelineRestartBudget bounds the pipeline's self-healing: worker
-	// restarts tolerated per shard within PipelineRestartWindow before the
-	// shard is quarantined (default sigstream's, 3 per minute).
-	PipelineRestartBudget int
-	// PipelineRestartWindow is the sliding window for PipelineRestartBudget
-	// (default one minute).
-	PipelineRestartWindow time.Duration
-	// ShedHighWater is the load-shed threshold as a fraction of the
-	// per-shard ring capacity: once the deepest ingest ring reaches
-	// ShedHighWater×capacity, inserts answer 429 with Retry-After
-	// instead of queueing more (default 0.9; negative disables shedding;
-	// meaningful only with Pipeline, where a saturated ring would otherwise
-	// stall every handler goroutine).
-	ShedHighWater float64
 	// TenantMemoryBytes is each non-default tenant's tracker budget
 	// (default MemoryBytes). The global TenantBudgetBytes is spent in
 	// units of this size.
@@ -152,8 +129,8 @@ type Config struct {
 	// WALSegmentBytes is the WAL segment rotation threshold (0 means
 	// wal.DefaultSegmentBytes).
 	WALSegmentBytes int64
-	// Logger receives pipeline restart/quarantine, tenant spill/revive
-	// and snapshot lifecycle events (default slog.Default()).
+	// Logger receives tenant spill/revive, WAL and snapshot lifecycle
+	// events (default slog.Default()).
 	Logger *slog.Logger
 }
 
@@ -234,7 +211,6 @@ type Server struct {
 	def     *tenant.Tenant // the pinned default tenant behind legacy routes
 
 	restoring atomic.Bool // startup recovery in progress (/readyz gates on it)
-	sheds     atomic.Uint64
 	snapsOn   atomic.Bool // StartSnapshots completed
 
 	ingest *ingest.Server // binary ingest listener (nil before StartIngest)
@@ -254,9 +230,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.ShedHighWater == 0 {
-		cfg.ShedHighWater = 0.9
 	}
 	if cfg.TenantMemoryBytes <= 0 {
 		cfg.TenantMemoryBytes = cfg.MemoryBytes
@@ -294,15 +267,7 @@ func New(cfg Config) *Server {
 			Weights:     cfg.Weights,
 			DecayFactor: cfg.DecayFactor,
 		},
-		Shards:   cfg.Shards,
-		Pipeline: cfg.Pipeline,
-		PipelineOptions: sigstream.PipelineOptions{
-			RingSize:      cfg.PipelineRing,
-			RestartBudget: cfg.PipelineRestartBudget,
-			RestartWindow: cfg.PipelineRestartWindow,
-			Logger:        cfg.Logger,
-		},
-		ShedHighWater: cfg.ShedHighWater,
+		Shards: cfg.Shards,
 	})
 	if err != nil {
 		panic("server: pin default tenant: " + err.Error())
@@ -415,8 +380,7 @@ func (s *Server) legacy(fn tenantHandlerFunc) http.HandlerFunc {
 // tenantError maps tenant-package failures onto the HTTP contract:
 // quota breach → 429 + Retry-After, geometry mismatch → 409, unknown
 // namespace → 404, invalid namespace → 400, exhausted budget or tenant
-// limit → 507, everything else (closed registry, quarantined pipeline,
-// disk failure) → 503.
+// limit → 507, everything else (closed registry, disk failure) → 503.
 func (s *Server) tenantError(w http.ResponseWriter, err error) {
 	var qe *tenant.QuotaError
 	var ge *tenant.GeometryError
@@ -529,13 +493,13 @@ func (s *Server) SnapshotNow() (string, error) {
 	return name, nil
 }
 
-// Close shuts the durability and ingestion paths down: one final
-// snapshot of every resident tenant (when StartSnapshots ran), then the
-// pinned pipeline drain. The HTTP handlers remain usable for reads;
-// in-flight inserts either drain with the pipeline or fail with 503,
-// never panic. Close is idempotent and safe under concurrent requests —
-// the first call does the work and reports any failure, later calls
-// return nil.
+// Close shuts the durability and ingestion paths down: the binary
+// listener drains, then one final snapshot of every resident tenant
+// (when StartSnapshots ran) and every WAL closes. The HTTP handlers
+// remain usable for reads; inserts arriving after Close has begun fail
+// with 503, never panic. Close is idempotent and safe under concurrent
+// requests — the first call does the work and reports any failure, later
+// calls return nil.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -657,21 +621,11 @@ func infoJSON(i tenant.Info) tenantInfoJSON {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
-	// Once Close has begun the server is going away: a 429 would tell the
-	// producer to retry here in a second, so refuse with 503 before the
-	// shed gate, whose ring is full of the drain.
+	// Once Close has begun the final snapshot is taken and the logs
+	// close: refuse with 503 rather than acknowledge a batch that neither
+	// would hold.
 	if s.closed.Load() {
 		httpError(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	// Shed before buffering the body: when the ingest rings are already at
-	// the high-water mark, accepting this request would stall the handler
-	// goroutine on a full ring; a 429 tells well-behaved producers to back
-	// off for a beat instead.
-	if tn.Overloaded() {
-		s.sheds.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "ingest queue at high-water mark, retry later")
 		return
 	}
 	// The body buffer and batch slices are pooled: a steady producer
@@ -937,16 +891,16 @@ func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is the liveness probe: 200 whenever the process can
-// answer HTTP at all, including while degraded — restarting the process
-// is the remedy for a hung process, not for a quarantined shard.
+// answer HTTP at all, including while not ready — restarting the process
+// is the remedy for a hung process, not for a restore in progress.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe: 200 only when the server should
-// receive traffic — no startup restore in progress, not shut down, and
-// the default tenant's ingest pipeline not quarantined. A load balancer
-// drains a 503 instance while /healthz keeps it alive for diagnosis.
+// receive traffic — no startup restore in progress and not shut down. A
+// load balancer drains a 503 instance while /healthz keeps it alive for
+// diagnosis.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
 		httpError(w, http.StatusServiceUnavailable, "shutting down")
@@ -954,10 +908,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.restoring.Load() {
 		httpError(w, http.StatusServiceUnavailable, "snapshot restore in progress")
-		return
-	}
-	if err := s.def.PipelineErr(); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "pipeline: "+err.Error())
 		return
 	}
 	writeJSON(w, map[string]string{"status": "ready"})
@@ -997,33 +947,6 @@ func (s *Server) collectTracker(w *obs.Writer) {
 		"Native-path InsertBatch calls.", float64(ts.Batches))
 	w.Counter("sigstream_ltc_batched_items_total",
 		"Arrivals ingested via InsertBatch.", float64(ts.BatchedItems))
-	if ps, ok := s.def.PipelineStats(); ok {
-		w.Gauge("sigstream_pipeline_shards", "Pipeline shard workers.", float64(ps.Shards))
-		w.Gauge("sigstream_pipeline_ring_capacity",
-			"Per-shard ring capacity in batches.", float64(ps.RingCapacity))
-		for i, d := range ps.RingDepth {
-			w.Gauge("sigstream_pipeline_ring_depth",
-				"Current ring depth in batches.", float64(d),
-				obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-		}
-		w.Counter("sigstream_pipeline_items_total",
-			"Items accepted by the pipeline.", float64(ps.Items))
-		w.Counter("sigstream_pipeline_batches_total",
-			"Sub-batches enqueued onto rings.", float64(ps.Batches))
-		w.Counter("sigstream_pipeline_stalls_total",
-			"Ring sends that blocked on a full ring (backpressure).", float64(ps.Stalls))
-		w.Counter("sigstream_pipeline_flushes_total",
-			"Completed pipeline flush drains.", float64(ps.Flushes))
-		w.Counter("sigstream_pipeline_dropped_total",
-			"Items discarded after a worker failure.", float64(ps.Dropped))
-		w.Counter("sigstream_pipeline_restarts_total",
-			"Workers respawned after a recovered sink panic.", float64(ps.Restarts))
-		w.Gauge("sigstream_pipeline_quarantined_shards",
-			"Shards retired after exhausting the restart budget.",
-			float64(ps.QuarantinedShards))
-	}
-	w.Counter("sigstream_http_shed_total",
-		"Inserts refused with 429 at the ring high-water mark.", float64(s.sheds.Load()))
 	if ws, ok := s.def.WALStats(); ok {
 		w.Counter("sigstream_wal_appends_total",
 			"WAL records appended and fsynced (acknowledged mutations).", float64(ws.Appends))

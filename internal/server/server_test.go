@@ -43,6 +43,12 @@ func get(t *testing.T, url string) *http.Response {
 	return resp
 }
 
+// readAll drains and closes a response body.
+func readAll(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
+
 func decode[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -190,6 +196,27 @@ func TestConcurrentClients(t *testing.T) {
 	e := decode[map[string]any](t, resp)
 	if e["frequency"].(float64) != 160 {
 		t.Fatalf("shared frequency %v, want 160", e["frequency"])
+	}
+}
+
+// TestServerCloseStopsIngestion checks Close ends ingestion: further
+// inserts fail with 503 while reads keep working.
+func TestServerCloseStopsIngestion(t *testing.T) {
+	h := New(Config{MemoryBytes: 64 << 10, Shards: 2, Logger: quietLogger()})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	post(t, srv.URL+"/v1/insert", "a\n").Body.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, srv.URL+"/v1/insert", "b\n")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("insert after Close: status %d, want 503", resp.StatusCode)
+	}
+	st := decode[statsResponse](t, get(t, srv.URL+"/v1/stats"))
+	if st.Tracker.Arrivals != 1 {
+		t.Fatalf("tracker saw %d arrivals, want 1", st.Tracker.Arrivals)
 	}
 }
 

@@ -7,16 +7,16 @@
 // transparently revived, bit-identical, on its next touch. Per-tenant
 // token-bucket rate limits bound any one tenant's ingest rate so a noisy
 // namespace cannot starve the rest; the HTTP layer maps a quota denial to
-// 429 + Retry-After, the same contract as the pipeline load-shed gate.
+// 429 + Retry-After.
 //
-// The reserved default tenant is pinned: never spilled, excluded from
-// budget and quota, and optionally fronted by an asynchronous ingest
-// pipeline — it carries the exact single-tenant serving semantics the
-// server had before namespaces existed, so legacy un-namespaced routes
-// keep their behavior. Every tenant, pinned or not, loads through one
-// path: newest valid snapshot, geometry-checked restore, then WAL replay
-// from the snapshot's cut. A pinned tenant loads at AttachDir or on its
-// first touch, whichever comes first.
+// The reserved default tenant is pinned: never spilled and excluded from
+// budget and quota — it carries the exact single-tenant serving semantics
+// the server had before namespaces existed, so legacy un-namespaced
+// routes keep their behavior. Every tenant, pinned or not, loads through
+// one path (newest valid snapshot, geometry-checked restore, then WAL
+// replay from the snapshot's cut) and ingests through one path
+// (Tenant.IngestWire). A pinned tenant loads at AttachDir or on its first
+// touch, whichever comes first.
 package tenant
 
 import (
@@ -188,24 +188,15 @@ type Info struct {
 	LastSaveUnix int64
 }
 
-// PinOptions configures a pinned tenant: its own tracker geometry
-// (independent of the registry's per-tenant configuration) and an
-// optional asynchronous ingest pipeline with a load-shed gate. A pinned
-// tenant is never spilled and sits outside the budget and quota; it loads
-// at AttachDir or on first touch, and the pipeline starts on the loaded
-// tracker.
+// PinOptions configures a pinned tenant: its own tracker geometry,
+// independent of the registry's per-tenant configuration. A pinned tenant
+// is never spilled and sits outside the budget and quota; it loads at
+// AttachDir or on first touch.
 type PinOptions struct {
 	// Tracker is the pinned tenant's tracker configuration.
 	Tracker sigstream.Config
 	// Shards is the pinned tenant's shard count (0 selects GOMAXPROCS).
 	Shards int
-	// Pipeline routes the tenant's ingest through a sigstream.Pipeline.
-	Pipeline bool
-	// PipelineOptions tunes the pipeline when Pipeline is set.
-	PipelineOptions sigstream.PipelineOptions
-	// ShedHighWater is the load-shed threshold as a fraction of ring
-	// capacity (≤0 disables shedding).
-	ShedHighWater float64
 }
 
 // Registry owns every tenant in the process. All methods are safe for
@@ -381,11 +372,11 @@ func (r *Registry) GetOrCreate(ns string) (*Tenant, error) {
 }
 
 // Pin registers a pinned tenant: never spilled, outside the budget, quota
-// and idle sweep, with its own tracker geometry and optional ingest
-// pipeline. Pin does no I/O; the tenant loads at AttachDir or on first
-// touch, like any other. The server pins DefaultNamespace at startup so
-// legacy routes keep single-tenant semantics. Pinning an existing
-// namespace is an error, as is an invalid opts.Tracker.
+// and idle sweep, with its own tracker geometry. Pin does no I/O; the
+// tenant loads at AttachDir or on first touch, like any other. The server
+// pins DefaultNamespace at startup so legacy routes keep single-tenant
+// semantics. Pinning an existing namespace is an error, as is an invalid
+// opts.Tracker.
 func (r *Registry) Pin(ns string, opts PinOptions) (*Tenant, error) {
 	if !ValidNamespace(ns) {
 		return nil, ErrBadNamespace
@@ -621,13 +612,9 @@ func (r *Registry) AttachDir(dir string) error {
 	}
 	for _, t := range pinned {
 		t.mu.Lock()
-		old := t.unloadLocked()
+		t.unloadLocked()
 		err := t.ensureResidentLocked()
 		t.mu.Unlock()
-		if old != nil {
-			// The retired pipeline drains into the discarded tracker.
-			_ = old.Close()
-		}
 		if err != nil {
 			return err
 		}
@@ -726,9 +713,8 @@ func (r *Registry) Sweep() int {
 }
 
 // Close stops the background goroutine, takes one final snapshot of
-// every resident tenant, closes pinned pipelines, and rejects further
-// residency changes. Idempotent; every call reports the first close's
-// outcome.
+// every resident tenant, closes every log, and rejects further residency
+// changes. Idempotent; every call reports the first close's outcome.
 func (r *Registry) Close() error {
 	r.closeOnce.Do(func() {
 		if r.stop != nil {
@@ -738,21 +724,7 @@ func (r *Registry) Close() error {
 		err := r.SaveAll()
 		r.mu.Lock()
 		r.closed = true
-		var pinned []*Tenant
-		for _, t := range r.tenants {
-			if t.pinned {
-				pinned = append(pinned, t)
-			}
-		}
 		r.mu.Unlock()
-		for _, t := range pinned {
-			t.mu.RLock()
-			p := t.pipeline
-			t.mu.RUnlock()
-			if p != nil {
-				err = errors.Join(err, p.Close())
-			}
-		}
 		// Every log gets a final fsync and close after the last save;
 		// whatever outlived the final snapshot replays on next boot.
 		for _, t := range r.snapshotTenants() {

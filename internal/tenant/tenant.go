@@ -26,6 +26,11 @@ import (
 // concurrency-safe sigstream.Sharded — and takes the write lock only for
 // residency transitions (spill, revive, restore, delete).
 //
+// Every tenant, pinned or not, ingests through one synchronous path,
+// IngestWire: WAL append, tracker apply, then the batch's key names. A
+// successful return means the batch is logged and applied, so every read
+// that follows it observes it.
+//
 // The tenant holds key names only for the items its tracker holds: every
 // batch notes its names after it is applied and then bounds the key map
 // to twice the tracker's cells (sigstream.KeyMap.Bound), so names live and
@@ -34,8 +39,8 @@ import (
 // The declared acquisition order below is machine-checked by siglint's
 // lockorder analyzer (see DESIGN.md §12): mu is always outermost; the
 // append path nests walMu then keysMu under it, and holds keysMu across
-// the bound's pipeline flush and cell walk; the save path and the quota
-// gate each nest their own mutex under mu and never under each other.
+// the bound's cell walk; the save path and the quota gate each nest their
+// own mutex under mu and never under each other.
 //
 //sig:lockorder mu < walMu < keysMu
 //sig:lockorder mu < saveMu
@@ -46,15 +51,12 @@ type Tenant struct {
 	pinned bool
 	pin    PinOptions
 
-	// mu guards the tracker/keys/pipeline pointers and the residency
-	// state. Data operations hold it read; spill/revive/restore/delete
-	// hold it write. Lock order: Tenant.mu before Registry.mu, never the
-	// reverse.
-	mu       sync.RWMutex
-	tracker  *sigstream.Sharded
-	keys     *sigstream.KeyMap
-	pipeline *sigstream.Pipeline // pinned tenants only, when PinOptions.Pipeline
-	shed     int                 // pipeline depth at which Overloaded trips; 0 disables
+	// mu guards the tracker/keys pointers and the residency state. Data
+	// operations hold it read; spill/revive/restore/delete hold it write.
+	// Lock order: Tenant.mu before Registry.mu, never the reverse.
+	mu      sync.RWMutex
+	tracker *sigstream.Sharded
+	keys    *sigstream.KeyMap
 
 	keysMu sync.Mutex // KeyMap is not concurrency-safe
 
@@ -70,7 +72,7 @@ type Tenant struct {
 	// walMu makes a WAL append and its tracker apply one atomic unit
 	// against the snapshot cut: data operations hold it read around
 	// [append record, apply to tracker], the save path holds it write
-	// around [barrier, rotate → cut, marshal image], so the image covers
+	// around [rotate → cut, marshal image], so the image covers
 	// exactly the records in segments below the cut. Lock order: mu
 	// before walMu. wal is guarded by mu like the tracker pointer; it is
 	// nil when the registry has no WAL configured or the tenant is
@@ -84,7 +86,7 @@ type Tenant struct {
 	arrivals, periods        atomic.Uint64
 	spillCount, reviveCount  atomic.Uint64
 	saveCount, saveErrCount  atomic.Uint64
-	quotaDenials, shedCount  atomic.Uint64
+	quotaDenials             atomic.Uint64
 	lastSaveUnix, lastTouch  atomic.Int64
 	resident, deleted, dirty atomic.Bool
 }
@@ -124,8 +126,6 @@ type Stats struct {
 	Revives uint64
 	// QuotaDenials counts ingest batches denied by the rate limit.
 	QuotaDenials uint64
-	// Sheds counts ingest requests shed by the pipeline high-water gate.
-	Sheds uint64
 	// Saves counts successful snapshot writes.
 	Saves uint64
 	// SaveErrors counts failed snapshot attempts.
@@ -276,8 +276,7 @@ func (t *Tenant) acquire() error {
 // snapshot (for the pinned default tenant, falling back to the legacy
 // snapshot files at the root of the snapshot directory) or starts fresh
 // when there is none, replays the WAL tail past the snapshot's cut, and
-// installs the tracker, fronted by a pinned tenant's ingest pipeline when
-// configured. Caller holds the write lock.
+// installs the tracker. Caller holds the write lock.
 func (t *Tenant) ensureResidentLocked() error {
 	if t.deleted.Load() {
 		return ErrNotFound
@@ -347,12 +346,6 @@ func (t *Tenant) ensureResidentLocked() error {
 	t.arrivals.Store(st.Arrivals)
 	t.periods.Store(st.Periods)
 	t.tracker = tracker
-	if t.pin.Pipeline {
-		t.pipeline = tracker.Pipeline(t.pin.PipelineOptions)
-		if t.pin.ShedHighWater > 0 {
-			t.shed = max(1, int(t.pin.ShedHighWater*float64(t.pipeline.RingCapacity())))
-		}
-	}
 	t.wal = l
 	t.walCuts = nil
 	if cut > 0 {
@@ -369,19 +362,15 @@ func (t *Tenant) ensureResidentLocked() error {
 	return nil
 }
 
-// unloadLocked frees a resident tenant's tracker, key map and log, and
-// returns its ingest pipeline, if any, for the caller to drain once the
-// lock is released. Budget accounting is the caller's. Caller holds the
-// write lock.
-func (t *Tenant) unloadLocked() *sigstream.Pipeline {
-	p := t.pipeline
+// unloadLocked frees a resident tenant's tracker, key map and log. Budget
+// accounting is the caller's. Caller holds the write lock.
+func (t *Tenant) unloadLocked() {
 	t.closeWAL()
-	t.tracker, t.pipeline = nil, nil
+	t.tracker = nil
 	t.keysMu.Lock()
 	t.keys = nil
 	t.keysMu.Unlock()
 	t.resident.Store(false)
-	return p
 }
 
 // newTracker builds an empty tracker from the tenant's configuration;
@@ -445,23 +434,6 @@ func (t *Tenant) allow(n int) (time.Duration, bool) {
 	return retry, false
 }
 
-// Overloaded reports whether the tenant's ingest pipeline is backed up
-// past the shed high-water mark; the HTTP layer calls it before reading
-// an insert body so a saturated ring sheds cheaply. Tenants without a
-// pipeline are never overloaded.
-func (t *Tenant) Overloaded() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.pipeline == nil || t.shed <= 0 {
-		return false
-	}
-	if t.pipeline.Depth() >= t.shed {
-		t.shedCount.Add(1)
-		return true
-	}
-	return false
-}
-
 // Ingest records one arrival per key, in order: it is IngestWire for a
 // batch of unit-weight string keys, with the same quota, WAL and apply
 // discipline and the same logged bytes. It reports the number of arrivals
@@ -485,23 +457,23 @@ func (t *Tenant) Ingest(keys []string) (int, error) {
 // sigstream.HashKeyBytes of each key, repeated that key's weight, in
 // record order, and that every weight is at least 1. Decoders build all
 // three in pooled buffers; IngestWire never retains any of the slices
-// (the WAL encoder copies the key bytes, the pipeline copies Items), so
-// the caller may recycle them the moment the call returns.
+// (the WAL encoder copies the key bytes), so the caller may recycle them
+// the moment the call returns.
 type WireBatch struct {
 	Keys    [][]byte
 	Weights []uint32
 	Items   []sigstream.Item
 }
 
-// IngestWire records b's arrivals, in order: charge the tenant's quota one
-// token per arrival (pinned tenants are exempt), append one RecordBatch
-// holding the weight-expanded key sequence to the write-ahead log (when
-// configured), feed Items to the pipeline (pinned, when configured) or
-// directly to the tracker, then note the key names and bound the key map
-// to the tracker's cells. Names are noted after the apply so that a
-// concurrent batch's prune, which keeps the names of items in cells,
-// cannot drop the name of an item this batch is still placing. With a
-// WAL a successful return means the batch is fsynced; on error nothing
+// IngestWire records b's arrivals, in order, and is every transport's one
+// ingest path: charge the tenant's quota one token per arrival (pinned
+// tenants are exempt), append one RecordBatch holding the weight-expanded
+// key sequence to the write-ahead log (when configured), apply Items to
+// the tracker, then note the key names and bound the key map to the
+// tracker's cells. Names are noted after the apply so that a concurrent
+// batch's prune, which keeps the names of items in cells, cannot drop the
+// name of an item this batch is still placing. A successful return means
+// the batch is logged (fsynced, with a WAL) and applied; on error nothing
 // was logged or applied.
 func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 	if len(b.Items) == 0 {
@@ -527,13 +499,7 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 			return 0, fmt.Errorf("tenant %s: %w", t.ns, err)
 		}
 	}
-	if t.pipeline != nil {
-		if err := t.pipeline.Submit(b.Items); err != nil {
-			return 0, err
-		}
-	} else {
-		t.tracker.InsertBatch(b.Items)
-	}
+	t.tracker.InsertBatch(b.Items)
 	t.keysMu.Lock()
 	cursor := 0
 	for i, k := range b.Keys {
@@ -544,7 +510,7 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 			cursor++
 		}
 	}
-	t.keys.Bound(t.tracker.Cells(), t.walkCells)
+	t.keys.Bound(t.tracker.Cells(), t.tracker.VisitItems)
 	t.keysMu.Unlock()
 	t.arrivals.Add(uint64(len(b.Items)))
 	t.dirty.Store(true)
@@ -552,22 +518,11 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 	return len(b.Items), nil
 }
 
-// walkCells passes the item of every occupied cell to visit, for
-// KeyMap.Bound. A pipeline is flushed first, so the walk sees every batch
-// submitted before the prune, whose names are the ones already noted; a
-// quarantined pipeline walks the state applied so far. Caller holds
-// keysMu and at least the read lock.
-func (t *Tenant) walkCells(visit func(sigstream.Item)) {
-	_ = t.barrierRLocked()
-	t.tracker.VisitItems(visit)
-}
-
 // EndPeriod closes the tenant's current period and reports the new
-// period count. For a pipelined tenant the rings are flushed first, so
-// the boundary lands after every previously accepted insert. With a WAL
-// the boundary is logged holding the gate exclusively, so no insert can
-// slip between the period record and its tracker effect and replay
-// closes periods at exactly the logged positions.
+// period count. With a WAL the boundary is logged holding the gate
+// exclusively, so no insert can slip between the period record and its
+// tracker effect and replay closes periods at exactly the logged
+// positions.
 func (t *Tenant) EndPeriod() (uint64, error) {
 	if err := t.acquire(); err != nil {
 		return 0, err
@@ -576,11 +531,6 @@ func (t *Tenant) EndPeriod() (uint64, error) {
 	if t.wal != nil {
 		t.walMu.Lock()
 		defer t.walMu.Unlock()
-	}
-	if err := t.barrierRLocked(); err != nil {
-		return 0, err
-	}
-	if t.wal != nil {
 		if err := t.wal.Append(wal.EncodePeriod()); err != nil {
 			return 0, fmt.Errorf("tenant %s: %w", t.ns, err)
 		}
@@ -599,9 +549,6 @@ func (t *Tenant) TopK(k int) ([]Entry, error) {
 		return nil, err
 	}
 	defer t.mu.RUnlock()
-	if err := t.barrierRLocked(); err != nil {
-		return nil, err
-	}
 	es := t.tracker.TopK(k)
 	out := make([]Entry, len(es))
 	t.keysMu.Lock()
@@ -620,9 +567,6 @@ func (t *Tenant) Query(key string) (Entry, bool, error) {
 		return Entry{}, false, err
 	}
 	defer t.mu.RUnlock()
-	if err := t.barrierRLocked(); err != nil {
-		return Entry{}, false, err
-	}
 	e, ok := t.tracker.Query(sigstream.HashKey(key))
 	t.touch()
 	if !ok {
@@ -638,9 +582,6 @@ func (t *Tenant) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	defer t.mu.RUnlock()
-	if err := t.barrierRLocked(); err != nil {
-		return Stats{}, err
-	}
 	st := t.statsRLocked()
 	st.Tracker = t.tracker.Stats()
 	t.keysMu.Lock()
@@ -665,7 +606,6 @@ func (t *Tenant) statsRLocked() Stats {
 		Spills:       t.spillCount.Load(),
 		Revives:      t.reviveCount.Load(),
 		QuotaDenials: t.quotaDenials.Load(),
-		Sheds:        t.shedCount.Load(),
 		Saves:        t.saveCount.Load(),
 		SaveErrors:   t.saveErrCount.Load(),
 		LastSaveUnix: t.lastSaveUnix.Load(),
@@ -673,9 +613,9 @@ func (t *Tenant) statsRLocked() Stats {
 	}
 }
 
-// TrackerStats reports the live tracker's counters without a pipeline
-// barrier, so a metrics scrape never blocks behind ingest, and without
-// reviving a spilled tenant (false when not resident).
+// TrackerStats reports the live tracker's counters without reviving a
+// spilled tenant (false when not resident), so a metrics scrape never
+// loads one.
 func (t *Tenant) TrackerStats() (sigstream.Stats, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -709,65 +649,22 @@ func (t *Tenant) KeyCount() int {
 	return t.keys.Len()
 }
 
-// PipelineStats reports the ingest pipeline's counters, false when the
-// tenant has none.
-func (t *Tenant) PipelineStats() (sigstream.PipelineStats, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.pipeline == nil {
-		return sigstream.PipelineStats{}, false
-	}
-	return t.pipeline.Stats(), true
-}
-
-// PipelineErr reports the pipeline's terminal failure (a quarantined
-// shard), nil when healthy or absent; /readyz gates on it.
-func (t *Tenant) PipelineErr() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.pipeline == nil {
-		return nil
-	}
-	return t.pipeline.Err()
-}
-
-// barrierRLocked flushes the pipeline, if any, so the following read or
-// period operation observes every previously accepted insert. A closed
-// pipeline only means there is nothing left to flush. Caller holds at
-// least the read lock.
-func (t *Tenant) barrierRLocked() error {
-	if t.pipeline == nil {
-		return nil
-	}
-	if err := t.pipeline.Flush(); err != nil && err != sigstream.ErrPipelineClosed {
-		return err
-	}
-	return nil
-}
-
-// CheckpointImage drains the pipeline and marshals the tracker into a
-// portable image (the /v1/checkpoint body and golden-fixture format).
-// The barrier is best-effort: a quarantined pipeline still answers flush
-// markers, so a snapshot of the state applied so far stays possible even
-// after an ingest failure.
+// CheckpointImage marshals the tracker into a portable image (the
+// /v1/checkpoint body and golden-fixture format).
 func (t *Tenant) CheckpointImage() ([]byte, error) {
 	img, _, err := t.CheckpointImageIfChanged("")
 	return img, err
 }
 
 // CheckpointImageIfChanged is CheckpointImage made conditional: when tag
-// equals the tracker's sigstream.CheckpointTag, read after the barrier,
-// it encodes nothing and reports changed false. The comparison is exact;
+// equals the tracker's sigstream.CheckpointTag, it encodes nothing and
+// reports changed false. The comparison is exact;
 // the empty tag matches no tracker.
 func (t *Tenant) CheckpointImageIfChanged(tag string) (img []byte, changed bool, err error) {
 	if err := t.acquire(); err != nil {
 		return nil, false, err
 	}
 	defer t.mu.RUnlock()
-	if err := t.barrierRLocked(); err != nil {
-		t.reg.logger.Warn("tenant: checkpoint barrier failed; snapshotting applied state",
-			"tenant", t.ns, "err", err)
-	}
 	t.touch()
 	if tag != "" {
 		st := t.tracker.Stats()
@@ -787,8 +684,7 @@ func (t *Tenant) CheckpointImageIfChanged(tag string) (img []byte, changed bool,
 // untouched. Key names are not part of the image: the names held stay
 // until the next batch's bound drops those of items the restored tracker
 // does not hold, and the image's items that have no name render as hex
-// until a batch notes them. A pipelined tenant's pipeline is retired with
-// the old tracker and a fresh one started over the restored state.
+// until a batch notes them.
 func (t *Tenant) RestoreImage(body []byte) error {
 	t.mu.Lock()
 	if t.deleted.Load() {
@@ -813,21 +709,12 @@ func (t *Tenant) RestoreImage(body []byte) error {
 			return fmt.Errorf("tenant %s: %w", t.ns, err)
 		}
 	}
-	old := t.pipeline
-	if old != nil {
-		t.pipeline = fresh.Pipeline(t.pin.PipelineOptions)
-	}
 	t.tracker = fresh
 	t.arrivals.Store(st.Arrivals)
 	t.periods.Store(st.Periods)
 	t.dirty.Store(true)
 	t.touch()
 	t.mu.Unlock()
-	if old != nil {
-		// The retired pipeline is drained outside the lock; its items
-		// target the replaced tracker, which is being discarded anyway.
-		_ = old.Close()
-	}
 	return nil
 }
 
@@ -879,8 +766,8 @@ func (t *Tenant) Save() (string, error) {
 // Caller holds at least the read lock on a resident tenant.
 //
 // With a WAL, the save is the snapshot/truncate coordinator: it holds
-// the WAL gate exclusively across [pipeline barrier, segment rotation →
-// cut, image marshal, key-name copy], so the image and the names cover
+// the WAL gate exclusively across [segment rotation → cut, image
+// marshal, key-name copy], so the image and the names cover
 // exactly the records in segments below the cut — replay from the cut is
 // the missing suffix, nothing less and nothing twice, and re-notes and
 // re-bounds names exactly as the live tenant did. The cut rides inside
@@ -901,10 +788,6 @@ func (t *Tenant) saveRLocked() (string, error) {
 	var names []string
 	if t.wal != nil {
 		t.walMu.Lock()
-		if err := t.barrierRLocked(); err != nil {
-			t.reg.logger.Warn("tenant: save barrier failed; snapshotting applied state",
-				"tenant", t.ns, "err", err)
-		}
 		var err error
 		cut, err = t.wal.Rotate()
 		if err != nil {
@@ -923,10 +806,6 @@ func (t *Tenant) saveRLocked() (string, error) {
 			return werr
 		}
 	} else {
-		if err := t.barrierRLocked(); err != nil {
-			t.reg.logger.Warn("tenant: save barrier failed; snapshotting applied state",
-				"tenant", t.ns, "err", err)
-		}
 		t.dirty.Store(false)
 		names = t.copyNames()
 		// Without a cut to pin, the image streams straight to the temp

@@ -37,7 +37,7 @@ type PipelineOptions struct {
 }
 
 // PipelineStats is a point-in-time snapshot of a Pipeline's rings and
-// counters; /metrics exposes the same numbers as gauges.
+// counters.
 type PipelineStats struct {
 	// Shards is the number of rings/workers.
 	Shards int
@@ -128,14 +128,6 @@ func (p *Pipeline) Close() error { return p.in.Close() }
 // its restart budget and was quarantined. Recovered sink panics below the
 // budget are not errors; they surface through Stats.Restarts.
 func (p *Pipeline) Err() error { return p.in.Err() }
-
-// Depth reports the deepest per-shard ring's current queue depth in
-// batches, allocation-free — the number an HTTP load-shed gate polls on
-// every request.
-func (p *Pipeline) Depth() int { return p.in.MaxRingDepth() }
-
-// RingCapacity reports each per-shard ring's capacity in batches.
-func (p *Pipeline) RingCapacity() int { return p.in.RingCapacity() }
 
 // Stats snapshots the pipeline's rings and counters.
 func (p *Pipeline) Stats() PipelineStats {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"sigstream/internal/ltc"
 )
 
 // shardedMagic identifies a Sharded checkpoint ("SGSH").
@@ -81,11 +83,11 @@ func (s *Sharded) DecodeFrom(r io.Reader) error {
 		if _, err := io.CopyN(&buf, r, size); err != nil {
 			return fmt.Errorf("%w: shard %d overruns image", ErrBadShardedCheckpoint, i)
 		}
-		inner := New(Config{})
-		if err := inner.UnmarshalBinary(buf.Bytes()); err != nil {
+		l := new(ltc.LTC)
+		if err := l.UnmarshalBinary(buf.Bytes()); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		shards[i].l = inner.l
+		shards[i].l = l
 	}
 	s.shards = shards
 	return nil
