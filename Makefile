@@ -64,10 +64,12 @@ bench-core:
 		-benchmem -count=10 . | tee results/bench_head.txt
 
 # One coordinator gather round against three loopback nodes (P = 8,
-# R = 2, 64 KiB partitions): ns/op, plus the checkpoint images and KiB
-# the sites ship per round (what CI's read-path smoke step runs).
+# R = 2, 64 KiB partitions): ns/op, plus the checkpoint images, KiB and
+# top-name requests per round; then the committed view's TopK(1000) over
+# 8 partition images of 64 KiB (what CI's read-path smoke step runs).
 bench-gather:
 	$(GO) test -run=^$$ -bench=GatherRound -benchtime=10x -benchmem ./internal/coord/
+	$(GO) test -run=^$$ -bench=ViewTopK -benchmem ./internal/cluster/
 
 # Compare the current hot-path numbers against the recorded PR 2 baseline.
 # Uses benchstat when installed (go install

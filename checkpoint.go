@@ -47,9 +47,11 @@ func MergeCheckpoints(images ...[]byte) (*LTC, error) {
 // MergeShardedCheckpoints restores each binary checkpoint (as produced by
 // Sharded.MarshalBinary, and as served by sigserver's checkpoint route)
 // and folds them, one at a time and in order, into a single Sharded
-// tracker with MergeSharded's merge — the aggregation path for images
-// pulled from remote sites. All checkpoints must come from trackers built
-// with the same Config and shard count.
+// tracker: shard i of every image merges into shard i of the result,
+// preserving the hash partition. All checkpoints must come from trackers
+// built with the same Config and shard count. The merged tracker keeps one
+// image's cells, so it loses what did not fit; a cluster coordinator
+// instead keeps every partition's image and ranks them with TopKAcross.
 func MergeShardedCheckpoints(images ...[]byte) (*Sharded, error) {
 	if len(images) == 0 {
 		return nil, ErrNoCheckpoints
@@ -63,30 +65,6 @@ func MergeShardedCheckpoints(images ...[]byte) (*Sharded, error) {
 		if err := next.UnmarshalBinary(img); err != nil {
 			return nil, fmt.Errorf("checkpoint %d: %w", i+1, err)
 		}
-		if err := mergeShards(root, next, i+1); err != nil {
-			return nil, err
-		}
-	}
-	return root, nil
-}
-
-// MergeSharded folds trackers[1:] shard by shard into trackers[0] and
-// returns it — the merge a cluster coordinator runs on the partition
-// images it already decoded. Shard i of every tracker merges into shard i
-// of the result, preserving the hash partition, so the merged tracker
-// answers TopK and Query exactly as one tracker that saw every site's
-// arrivals. All trackers must come from the same Config and shard count.
-//
-// MergeSharded is for freshly decoded trackers only. Unlike Sharded's
-// other methods it takes no locks, so no other goroutine may use any of
-// the trackers during the call. trackers[0] is modified in place, and on
-// error it is left partly merged.
-func MergeSharded(trackers ...*Sharded) (*Sharded, error) {
-	if len(trackers) == 0 {
-		return nil, ErrNoCheckpoints
-	}
-	root := trackers[0]
-	for i, next := range trackers[1:] {
 		if err := mergeShards(root, next, i+1); err != nil {
 			return nil, err
 		}

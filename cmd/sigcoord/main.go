@@ -16,8 +16,9 @@
 // The coordinator owns no stream data. It derives the partition map from
 // the member list (rendezvous hashing, so every process with the same
 // -sites derives the same map), gathers each partition's checkpoint from
-// its replica sites every -interval, merges exactly one replica image per
-// partition, and commits the merged cluster view atomically. Producers
+// its replica sites every -interval, keeps exactly one replica image per
+// partition, and commits those images atomically as the cluster view,
+// which /v1/topk ranks with one selection across every partition. Producers
 // write the same keys to all replicas of a partition (siggen -cluster
 // does this); replication is for availability, not weight, and counts are
 // never inflated by R.

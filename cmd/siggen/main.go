@@ -183,7 +183,7 @@ func shipIngest(s *stream.Stream, addr, ns string, batch, win int, udp bool) err
 // that partition's namespace on every replica site; period boundaries
 // close the period on every (site, namespace) pair the run has touched.
 // Replica writes are what make single-node death lossless — the
-// coordinator merges exactly one replica image per partition, so the
+// coordinator keeps exactly one replica image per partition, so the
 // duplication never inflates counts.
 func shipCluster(s *stream.Stream, sitesCSV string, partitions, replicas, batch int) error {
 	var sites []string

@@ -354,6 +354,9 @@ type ClusterViewInfo struct {
 	AgeSeconds float64 `json:"age_seconds"`
 	// Stale reports an uncommitted round since the view was installed.
 	Stale bool `json:"stale"`
+	// MemoryBytes is the view's size: the summed tracker budgets of the
+	// partition images it holds.
+	MemoryBytes int `json:"memory_bytes"`
 }
 
 // ClusterStatus mirrors the coordinator's /v1/cluster/status payload.

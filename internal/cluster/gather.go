@@ -3,8 +3,9 @@
 // site; each Round pulls every partition's checkpoint from its replica
 // sites — deadline per call, full-jitter retry for transient failures,
 // no retry for deterministic ones, per-site circuit breaker — and
-// commits a merged cluster view only when every partition reached read
-// quorum (⌈R/2⌉ replicas reported). On quorum loss the previous
+// commits the partitions' images as the cluster view only when every
+// partition reached read quorum (⌈R/2⌉ replicas reported) and every image
+// ranks by the same weights. On quorum loss the previous
 // committed view keeps serving with a growing staleness age: a stale
 // cluster-wide ranking beats no ranking, and beats a silently partial
 // one even more.
@@ -31,7 +32,7 @@ import (
 // FetchCheckpoint when the site is reachable but has never seen the
 // partition's namespace (a cluster warming up, or a partition with no
 // traffic yet). It counts as a successful, empty report for quorum — the
-// site answered; there is simply nothing to merge.
+// site answered; there is simply no image to keep.
 var ErrNoPartition = errors.New("cluster: partition namespace not present on site")
 
 // ErrUnchanged is the sentinel a SiteClient returns from FetchCheckpoint
@@ -53,7 +54,8 @@ type SiteClient interface {
 	FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte, error)
 	// FetchNames returns up to k of the namespace's top items with their
 	// registered key strings, for display-name resolution in the cluster
-	// view. Best-effort: an error degrades names, never the round.
+	// view; an item the site cannot name is left out. Best-effort: an
+	// error degrades names, never the round.
 	FetchNames(ctx context.Context, ns string, k int) (map[uint64]string, error)
 	// Ready probes the site's readiness endpoint; it gates half-opening a
 	// tripped breaker.
@@ -75,8 +77,9 @@ type GatherConfig struct {
 	// (default 2s).
 	FetchTimeout time.Duration
 	// ResolveNames is the number of top items per partition whose key
-	// strings are harvested for the cluster view (default 64; negative
-	// disables resolution).
+	// strings the cluster view holds (default 64; negative disables
+	// resolution). A round asks a partition's replica for names only when
+	// one of these items has none in the previous view.
 	ResolveNames int
 
 	// now replaces time.Now in tests.
@@ -194,6 +197,9 @@ type ViewInfo struct {
 	// Stale reports that at least one round has failed to commit since
 	// this view was installed — the answers are real but not current.
 	Stale bool `json:"stale"`
+	// MemoryBytes is the size of the view: the summed tracker budgets of
+	// the partition images it holds.
+	MemoryBytes int `json:"memory_bytes"`
 }
 
 // GatherStats is a counters snapshot for metrics export.
@@ -211,6 +217,9 @@ type GatherStats struct {
 	FetchesUnchanged uint64
 	// FetchErrors is the number of failed fetch attempts.
 	FetchErrors uint64
+	// NameFetches is the number of FetchNames calls: one per committed
+	// partition whose top items the previous view could not all name.
+	NameFetches uint64
 	// SiteSkips counts per-site partition skips across all rounds.
 	SiteSkips map[string]uint64
 	// BreakerState is each site's current breaker position.
@@ -229,12 +238,53 @@ type GatherStats struct {
 	PartitionsQuorum int
 }
 
-// view is one committed cluster snapshot.
+// view is one committed cluster snapshot: the winning image of every
+// partition that had data, ranked together by one selection, and the
+// names of each partition's top items.
 type view struct {
 	epoch     int
 	committed time.Time
-	tracker   *sigstream.Sharded // nil when the committed cluster was empty
+	parts     []*sigstream.Sharded // empty when the committed cluster was empty
+	bytes     int                  // summed MemoryBytes of parts
 	names     map[uint64]string
+
+	// rankMu guards ranked, the view's highest-ranked entries as deep as
+	// any read has asked so far, and complete, set once ranked holds every
+	// cell of every part.
+	rankMu   sync.Mutex
+	ranked   []ViewEntry
+	complete bool
+}
+
+// top returns a copy of the view's k highest-ranked entries. A committed
+// view never changes and the ranking is a total order (significance, then
+// item), so the top k of any shallower read is a prefix of a deeper one:
+// the view runs the selection across its parts only when a read asks
+// deeper than any before it, and answers every other read from ranked.
+func (v *view) top(k int) []ViewEntry {
+	v.rankMu.Lock()
+	defer v.rankMu.Unlock()
+	if k > len(v.ranked) && !v.complete {
+		ranked := sigstream.TopKAcross(k, v.parts...)
+		v.ranked = make([]ViewEntry, len(ranked))
+		for i, e := range ranked {
+			key, found := v.names[e.Item]
+			if !found {
+				key = strconv.FormatUint(e.Item, 10)
+			}
+			v.ranked[i] = ViewEntry{
+				Key:          key,
+				Item:         e.Item,
+				Frequency:    e.Frequency,
+				Persistency:  e.Persistency,
+				Significance: e.Significance,
+			}
+		}
+		v.complete = len(ranked) < k
+	}
+	out := make([]ViewEntry, min(k, len(v.ranked)))
+	copy(out, v.ranked)
+	return out
 }
 
 // Gatherer runs quorum gather rounds and serves the committed view.
@@ -261,6 +311,7 @@ type Gatherer struct {
 	fetches   uint64
 	unchanged uint64
 	fetchErrs uint64
+	nameCalls uint64
 	skips     map[string]uint64
 }
 
@@ -320,7 +371,7 @@ const (
 )
 
 // replicaFetch is one replica's round outcome for one partition. The
-// decoded tracker is what the round merges: each image is decoded once.
+// decoded tracker is what the view keeps: each image is decoded once.
 type replicaFetch struct {
 	class   fetchClass
 	tracker *sigstream.Sharded
@@ -399,13 +450,14 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns, tag stri
 }
 
 // Round runs one gather cycle: probe tripped breakers, fetch every
-// partition from its replicas, and commit a merged view if every
-// partition reached quorum. It never returns an error — failure detail
-// lives in the report, and an uncommitted round leaves the previous view
-// serving. A round whose ctx ends first stops asking sites and does not
-// commit; the cancellation trips no breaker, skips no site and degrades
-// no site's health, since it says nothing about the sites. Concurrent
-// Round calls serialize.
+// partition from its replicas, and commit the freshest replica image of
+// every partition as the view if every partition reached quorum and the
+// images rank by the same weights. It never returns an error — failure
+// detail lives in the report, and an uncommitted round leaves the
+// previous view serving. A round whose ctx ends first stops asking sites
+// and does not commit; the cancellation trips no breaker, skips no site
+// and degrades no site's health, since it says nothing about the sites.
+// Concurrent Round calls serialize.
 func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	g.roundMu.Lock()
 	defer g.roundMu.Unlock()
@@ -453,7 +505,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	}
 
 	parts := make([]PartitionReport, g.topo.Partitions())
-	trackers := make([]*sigstream.Sharded, 0, g.topo.Partitions())
+	images := make([]*sigstream.Sharded, g.topo.Partitions()) // nil: no data
 	quorum := g.topo.Quorum()
 	allQuorum := true
 	for p := 0; p < g.topo.Partitions(); p++ {
@@ -502,9 +554,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		if !pr.Quorum {
 			allQuorum = false
 		}
-		if best.tracker != nil {
-			trackers = append(trackers, best.tracker)
-		}
+		images[p] = best.tracker
 		parts[p] = pr
 	}
 
@@ -567,32 +617,41 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		return rep
 	}
 
-	// Every partition reached quorum: merge and commit. The fault point
-	// models the coordinator dying (panic) or failing (error) between
-	// gather and commit; either way the previous view must survive.
+	// Every partition reached quorum: commit. The fault point models the
+	// coordinator dying (panic) or failing (error) between gather and
+	// commit; either way the previous view must survive.
 	if err := fault.Inject(fault.CoordCommit, 0); err != nil {
 		rep.Reason = "commit aborted: " + err.Error()
 		return rep
 	}
-	var merged *sigstream.Sharded
-	if len(trackers) > 0 {
-		// The round owns the trackers fetchReplica decoded, so they merge
-		// in place without a second decode.
-		var err error
-		merged, err = sigstream.MergeSharded(trackers...)
-		if err != nil {
-			rep.Reason = "merge failed: " + err.Error()
-			return rep
+	// One selection ranks every partition's cells by significance, so
+	// every image must weigh frequency and persistency alike. Nothing else
+	// about the images has to match: the partitions hold disjoint items.
+	if reason := weightsMismatch(images); reason != "" {
+		rep.Reason = reason
+		return rep
+	}
+	g.mu.Lock()
+	var prevNames map[uint64]string
+	if g.cur != nil {
+		prevNames = g.cur.names
+	}
+	g.mu.Unlock()
+	next := &view{committed: now, names: g.harvestNames(ctx, parts, images, prevNames)}
+	for _, tr := range images {
+		if tr != nil {
+			next.parts = append(next.parts, tr)
+			next.bytes += tr.MemoryBytes()
 		}
 	}
-	names := g.harvestNames(ctx, parts)
 
 	g.mu.Lock()
 	epoch := 1
 	if g.cur != nil {
 		epoch = g.cur.epoch + 1
 	}
-	g.cur = &view{epoch: epoch, committed: now, tracker: merged, names: names}
+	next.epoch = epoch
+	g.cur = next
 	g.mu.Unlock()
 	rep.Committed = true
 	committedEpoch = epoch
@@ -614,32 +673,77 @@ func better(a, b replicaFetch) bool {
 	return as.Arrivals > bs.Arrivals
 }
 
-// harvestNames pulls display keys for each merged partition's top items,
-// best-effort, from the replica whose image entered the view.
-func (g *Gatherer) harvestNames(ctx context.Context, parts []PartitionReport) map[uint64]string {
+// weightsMismatch names the first partition image whose weights differ
+// from the first image's, or returns "" when every image has the same
+// weights.
+func weightsMismatch(images []*sigstream.Sharded) string {
+	first := -1
+	var want sigstream.Stats
+	for p, tr := range images {
+		if tr == nil {
+			continue
+		}
+		st := tr.Stats()
+		if first < 0 {
+			first, want = p, st
+			continue
+		}
+		if st.Alpha != want.Alpha || st.Beta != want.Beta {
+			return fmt.Sprintf("weights mismatch: partition %d ranks by α=%g β=%g, partition %d by α=%g β=%g",
+				p, st.Alpha, st.Beta, first, want.Alpha, want.Beta)
+		}
+	}
+	return ""
+}
+
+// harvestNames names each committed partition's top items, best-effort.
+// An item is the hash of its key, so a name never changes: every name the
+// previous view held for one of these items is kept, and the replica whose
+// image entered the view is asked (FetchNames) only for a partition whose
+// top holds an item prev cannot name. The result holds names for top items
+// only, at most ResolveNames per partition.
+func (g *Gatherer) harvestNames(ctx context.Context, parts []PartitionReport, images []*sigstream.Sharded, prev map[uint64]string) map[uint64]string {
 	names := make(map[uint64]string)
 	if g.resolve == 0 {
 		return names
 	}
-	for _, pr := range parts {
-		if pr.MergedFrom == "" {
+	for p, tr := range images {
+		if tr == nil {
 			continue
 		}
+		top := tr.TopK(g.resolve)
+		unnamed := false
+		for _, e := range top {
+			if key, ok := prev[e.Item]; ok {
+				names[e.Item] = key
+			} else {
+				unnamed = true
+			}
+		}
+		if !unnamed {
+			continue
+		}
+		g.mu.Lock()
+		g.nameCalls++
+		g.mu.Unlock()
 		nctx, cancel := context.WithTimeout(ctx, g.timeout)
-		m, err := g.cfg.Clients[pr.MergedFrom].FetchNames(nctx, pr.Namespace, g.resolve)
+		m, err := g.cfg.Clients[parts[p].MergedFrom].FetchNames(nctx, parts[p].Namespace, g.resolve)
 		cancel()
 		if err != nil {
 			continue
 		}
-		for item, key := range m {
-			names[item] = key
+		for _, e := range top {
+			if key, ok := m[e.Item]; ok {
+				names[e.Item] = key
+			}
 		}
 	}
 	return names
 }
 
 // TopK reports the committed cluster view's top-k entries with view
-// provenance. ok is false before the first committed view.
+// provenance; the entries are the caller's. ok is false before the first
+// committed view.
 func (g *Gatherer) TopK(k int) (entries []ViewEntry, info ViewInfo, ok bool) {
 	g.mu.Lock()
 	v := g.cur
@@ -649,30 +753,13 @@ func (g *Gatherer) TopK(k int) (entries []ViewEntry, info ViewInfo, ok bool) {
 		return nil, ViewInfo{}, false
 	}
 	info = ViewInfo{
-		Epoch:      v.epoch,
-		Committed:  v.committed,
-		AgeSeconds: g.now().Sub(v.committed).Seconds(),
-		Stale:      staleRound,
+		Epoch:       v.epoch,
+		Committed:   v.committed,
+		AgeSeconds:  g.now().Sub(v.committed).Seconds(),
+		Stale:       staleRound,
+		MemoryBytes: v.bytes,
 	}
-	if v.tracker == nil {
-		return []ViewEntry{}, info, true
-	}
-	top := v.tracker.TopK(k)
-	entries = make([]ViewEntry, 0, len(top))
-	for _, e := range top {
-		key, found := v.names[e.Item]
-		if !found {
-			key = strconv.FormatUint(e.Item, 10)
-		}
-		entries = append(entries, ViewEntry{
-			Key:          key,
-			Item:         e.Item,
-			Frequency:    e.Frequency,
-			Persistency:  e.Persistency,
-			Significance: e.Significance,
-		})
-	}
-	return entries, info, true
+	return v.top(k), info, true
 }
 
 // ViewInfo reports the committed view's provenance without its entries.
@@ -704,6 +791,7 @@ func (g *Gatherer) Stats() GatherStats {
 		Fetches:          g.fetches,
 		FetchesUnchanged: g.unchanged,
 		FetchErrors:      g.fetchErrs,
+		NameFetches:      g.nameCalls,
 		SiteSkips:        make(map[string]uint64, len(g.skips)),
 		BreakerState:     make(map[string]BreakerState, len(g.sites)),
 		Sites:            len(g.sites),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,10 @@ import (
 
 	"sigstream"
 	"sigstream/internal/fault"
+	"sigstream/internal/gen"
+	"sigstream/internal/metrics"
+	"sigstream/internal/oracle"
+	"sigstream/internal/stream"
 )
 
 // fakeSite is an in-process SiteClient backed by real Sharded trackers,
@@ -26,6 +32,9 @@ type fakeSite struct {
 	fetchCalls int             // every fetch, conditional ones included
 	shipped    int             // fetches answered with a tracker image
 	readyCalls int
+
+	shape     func(ns string) *sigstream.Sharded // builds a namespace's tracker; nil: 32 KiB, 2 shards
+	nameCalls []string                           // the namespace of every FetchNames call
 }
 
 func newFakeSite() *fakeSite {
@@ -41,7 +50,11 @@ func (f *fakeSite) tracker(ns string) *sigstream.Sharded {
 	defer f.mu.Unlock()
 	tr, ok := f.parts[ns]
 	if !ok {
-		tr = sigstream.NewSharded(sigstream.Config{MemoryBytes: 32 << 10, Seed: 7}, 2)
+		if f.shape != nil {
+			tr = f.shape(ns)
+		} else {
+			tr = sigstream.NewSharded(sigstream.Config{MemoryBytes: 32 << 10, Seed: 7}, 2)
+		}
 		f.parts[ns] = tr
 	}
 	return tr
@@ -84,6 +97,7 @@ func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte,
 func (f *fakeSite) FetchNames(ctx context.Context, ns string, k int) (map[uint64]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.nameCalls = append(f.nameCalls, ns)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -147,7 +161,7 @@ type testCluster struct {
 	clock time.Time
 }
 
-func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfig, retry RetryPolicy) *testCluster {
+func newTestCluster(t testing.TB, partitions, replicas int, breaker BreakerConfig, retry RetryPolicy) *testCluster {
 	t.Helper()
 	sites := testSites()
 	topo, err := NewTopology(sites, partitions, replicas)
@@ -639,11 +653,11 @@ func TestGlobalRankingAcrossSites(t *testing.T) {
 // referenceView builds the view the freshest-replica rule commits, from
 // every replica's image as the site holds it now: for each partition,
 // the replica with the most periods, then the most arrivals, the first
-// in replica order on ties; then the winners merged with MergeSharded. A
-// down site, a corrupt namespace and a missing namespace contribute no
-// image. It returns the merged tracker (nil when no partition has data)
-// and each partition's winning site.
-func (tc *testCluster) referenceView(t *testing.T) (*sigstream.Sharded, []string) {
+// in replica order on ties. A down site, a corrupt namespace and a
+// missing namespace contribute no image. It returns every cell of the
+// winning images as one selection ranks them, and each partition's
+// winning site.
+func (tc *testCluster) referenceView(t *testing.T) ([]sigstream.Entry, []string) {
 	t.Helper()
 	from := make([]string, tc.topo.Partitions())
 	var winners []*sigstream.Sharded
@@ -682,14 +696,11 @@ func (tc *testCluster) referenceView(t *testing.T) (*sigstream.Sharded, []string
 			winners = append(winners, best)
 		}
 	}
-	if len(winners) == 0 {
-		return nil, from
+	cells := 0
+	for _, w := range winners {
+		cells += w.Cells()
 	}
-	merged, err := sigstream.MergeSharded(winners...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return merged, from
+	return sigstream.TopKAcross(cells, winners...), from
 }
 
 // shipped sums the tracker images the fake sites have shipped.
@@ -707,8 +718,7 @@ func (tc *testCluster) shipped() int {
 // replicas with the first image's tag ships one image per partition when
 // replicas agree and leaves the committed view exactly what the
 // freshest-replica rule builds from every replica's image: the same
-// merged-from site per partition and the same ranking, every cell
-// included.
+// winning site per partition and the same ranking, every cell included.
 func TestGatherConditionalFetchKeepsSelection(t *testing.T) {
 	const parts = 4
 	cases := []struct {
@@ -762,7 +772,7 @@ func TestGatherConditionalFetchKeepsSelection(t *testing.T) {
 			}
 			reps := tc.topo.ReplicaSites(0)
 			c.diverge(tc, PartitionNamespace(0), owned[0], owned[1], tc.fakes[reps[0]], tc.fakes[reps[1]])
-			ref, refFrom := tc.referenceView(t)
+			want, refFrom := tc.referenceView(t)
 
 			calls := 0
 			for _, f := range tc.fakes {
@@ -806,8 +816,7 @@ func TestGatherConditionalFetchKeepsSelection(t *testing.T) {
 					t.Errorf("partition %d merged from %q, the rule picks %q", p, pr.MergedFrom, refFrom[p])
 				}
 			}
-			want := ref.TopK(ref.Stats().Cells)
-			got, _, _ := tc.g.TopK(ref.Stats().Cells)
+			got, _, _ := tc.g.TopK(len(want) + 1)
 			if len(got) != len(want) {
 				t.Fatalf("view holds %d entries, the rule's view %d", len(got), len(want))
 			}
@@ -819,5 +828,269 @@ func TestGatherConditionalFetchKeepsSelection(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shapeAll sets how every fake site builds a namespace's tracker.
+func (tc *testCluster) shapeAll(shape func(ns string) *sigstream.Sharded) {
+	for _, f := range tc.fakes {
+		f.shape = shape
+	}
+}
+
+// loadPartitions replays items into every partition's tracker on its
+// first replica, perPeriod arrivals a period, closing the period on every
+// partition together as stream.Replay does, and returns the trackers.
+func (tc *testCluster) loadPartitions(items []uint64, perPeriod int) []*sigstream.Sharded {
+	trackers := make([]*sigstream.Sharded, tc.topo.Partitions())
+	for p := range trackers {
+		trackers[p] = tc.fakes[tc.topo.ReplicaSites(p)[0]].tracker(PartitionNamespace(p))
+	}
+	batch := make([][]uint64, len(trackers))
+	for start := 0; start < len(items); start += perPeriod {
+		for _, it := range items[start:min(start+perPeriod, len(items))] {
+			p := tc.topo.Partition(it)
+			batch[p] = append(batch[p], it)
+		}
+		for p, tr := range trackers {
+			tr.InsertBatch(batch[p])
+			tr.EndPeriod()
+			batch[p] = batch[p][:0]
+		}
+	}
+	return trackers
+}
+
+// nameCalls counts the FetchNames calls so far, per namespace.
+func (tc *testCluster) nameCalls() map[string]int {
+	out := map[string]int{}
+	for _, f := range tc.fakes {
+		f.mu.Lock()
+		for _, ns := range f.nameCalls {
+			out[ns]++
+		}
+		f.mu.Unlock()
+	}
+	return out
+}
+
+// TestGatherViewKeepsEveryPartition gathers P = 8 partitions of 16 KiB
+// over a Network-like trace. The view must rank every cell of every
+// partition image as one selection does, and at k = 1000 it must be more
+// precise against the exact oracle than the merge of the same images
+// into one partition's geometry, which keeps 1/P of their cells.
+func TestGatherViewKeepsEveryPartition(t *testing.T) {
+	const parts, k = 8, 1000
+	tc := newTestCluster(t, parts, 1, BreakerConfig{}, fastPolicy())
+	tc.shapeAll(func(string) *sigstream.Sharded {
+		return sigstream.NewSharded(sigstream.Config{MemoryBytes: 16 << 10, Weights: sigstream.Balanced}, 2)
+	})
+	tr := gen.NetworkLike(400_000, 1)
+	trackers := tc.loadPartitions(tr.Items, tr.ItemsPerPeriod())
+	exact := oracle.FromStream(tr, stream.Weights(sigstream.Balanced))
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("round did not commit: %s", rep.Reason)
+	}
+
+	// The reference: every partition's cells, sorted in the module's order.
+	var all []sigstream.Entry
+	images := make([][]byte, parts)
+	for p, s := range trackers {
+		all = append(all, s.TopK(s.Cells())...)
+		img, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[p] = img
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Significance != all[j].Significance {
+			return all[i].Significance > all[j].Significance
+		}
+		return all[i].Item < all[j].Item
+	})
+	view, _, _ := tc.g.TopK(k)
+	if len(view) != k {
+		t.Fatalf("view answered %d entries, want %d", len(view), k)
+	}
+	got := make([]stream.Entry, k)
+	for i, e := range view {
+		w := all[i]
+		if e.Item != w.Item || e.Frequency != w.Frequency || e.Persistency != w.Persistency || e.Significance != w.Significance {
+			t.Fatalf("view entry %d = %+v, the selection has %+v", i, e, w)
+		}
+		got[i] = stream.Entry{Item: e.Item, Frequency: e.Frequency, Persistency: e.Persistency, Significance: e.Significance}
+	}
+
+	merged, err := sigstream.MergeShardedCheckpoints(images...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folded []stream.Entry
+	for _, e := range merged.TopK(k) {
+		folded = append(folded, stream.Entry{Item: e.Item, Frequency: e.Frequency, Persistency: e.Persistency, Significance: e.Significance})
+	}
+	truth := exact.TopK(k)
+	sel, mer := metrics.Score(exact, truth, got, k), metrics.Score(exact, truth, folded, k)
+	t.Logf("precision at k=%d: view %.3f (ARE %.4f), merge %.3f (ARE %.4f)", k, sel.Precision, sel.ARE, mer.Precision, mer.ARE)
+	if sel.Precision <= mer.Precision {
+		t.Fatalf("view precision %.3f, merge %.3f: the view must be more precise", sel.Precision, mer.Precision)
+	}
+}
+
+// TestViewReadsAgreeAtEveryDepth: a view ranks its images once per depth
+// and answers shallower reads from that ranking, so reads in any order of
+// k must each equal a fresh selection at that k, and a caller editing its
+// answer must not change the next one.
+func TestViewReadsAgreeAtEveryDepth(t *testing.T) {
+	tc := newTestCluster(t, 4, 1, BreakerConfig{}, fastPolicy())
+	tc.shapeAll(func(string) *sigstream.Sharded {
+		return sigstream.NewSharded(sigstream.Config{MemoryBytes: 16 << 10}, 2)
+	})
+	tr := gen.NetworkLike(100_000, 2)
+	trackers := tc.loadPartitions(tr.Items, tr.ItemsPerPeriod())
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("round did not commit: %s", rep.Reason)
+	}
+	cells := len(sigstream.TopKAcross(1<<20, trackers...))
+	for _, k := range []int{10, 500, 50, 0, cells + 10, 2000, cells, 3} {
+		got, _, _ := tc.g.TopK(k)
+		want := sigstream.TopKAcross(k, trackers...)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: view answered %d entries, a fresh selection %d", k, len(got), len(want))
+		}
+		for i, w := range want {
+			e := got[i]
+			if e.Item != w.Item || e.Frequency != w.Frequency || e.Persistency != w.Persistency || e.Significance != w.Significance {
+				t.Fatalf("k=%d: entry %d = %+v, a fresh selection has %+v", k, i, e, w)
+			}
+			got[i] = ViewEntry{}
+		}
+	}
+}
+
+// TestGatherMixedShardCounts commits a view over a 2-shard and a 4-shard
+// partition: partitions hold disjoint items, so their images need not
+// share a geometry.
+func TestGatherMixedShardCounts(t *testing.T) {
+	tc := newTestCluster(t, 2, 2, BreakerConfig{}, fastPolicy())
+	tc.shapeAll(func(ns string) *sigstream.Sharded {
+		shards := 2
+		if ns == PartitionNamespace(1) {
+			shards = 4
+		}
+		return sigstream.NewSharded(sigstream.Config{MemoryBytes: 32 << 10, Seed: 7}, shards)
+	})
+	for period := 0; period < 2; period++ {
+		tc.load(100)
+	}
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round over 2- and 4-shard partitions did not commit: %s", rep.Reason)
+	}
+	entries, info, _ := tc.g.TopK(200)
+	if len(entries) != 100 {
+		t.Fatalf("view holds %d items, want 100", len(entries))
+	}
+	for _, e := range entries {
+		if e.Frequency != 2 || e.Persistency != 2 {
+			t.Fatalf("item %d = %+v, want frequency and persistency 2", e.Item, e)
+		}
+	}
+	if want := 2 * (32 << 10); info.MemoryBytes != want {
+		t.Fatalf("view size %d bytes, want the two partitions' %d", info.MemoryBytes, want)
+	}
+}
+
+// TestGatherWeightsMismatchDoesNotCommit: one selection cannot rank images
+// that weigh frequency and persistency differently, so such a round
+// commits nothing and says why.
+func TestGatherWeightsMismatchDoesNotCommit(t *testing.T) {
+	tc := newTestCluster(t, 2, 2, BreakerConfig{}, fastPolicy())
+	tc.shapeAll(func(ns string) *sigstream.Sharded {
+		w := sigstream.Balanced
+		if ns == PartitionNamespace(1) {
+			w = sigstream.Weights{Alpha: 1, Beta: 10}
+		}
+		return sigstream.NewSharded(sigstream.Config{MemoryBytes: 32 << 10, Weights: w}, 2)
+	})
+	tc.load(100)
+	rep := tc.g.Round(context.Background())
+	if rep.Committed {
+		t.Fatal("a round over images of different weights committed")
+	}
+	if !strings.Contains(rep.Reason, "weights mismatch") || !strings.Contains(rep.Reason, "partition 1 ranks by α=1 β=10") {
+		t.Fatalf("reason %q does not name the mismatch", rep.Reason)
+	}
+	if _, _, ok := tc.g.TopK(10); ok {
+		t.Fatal("a view is served although no round committed")
+	}
+}
+
+// TestGatherNamesFetchedOnlyWhenUnnamed: a name never changes, so a round
+// asks a partition's replica for names only when the partition's top
+// holds an item the previous view could not name.
+func TestGatherNamesFetchedOnlyWhenUnnamed(t *testing.T) {
+	const parts = 4
+	tc := newTestCluster(t, parts, 2, BreakerConfig{}, fastPolicy())
+	name := func(item uint64) {
+		p := tc.topo.Partition(item)
+		ns := PartitionNamespace(p)
+		for _, site := range tc.topo.ReplicaSites(p) {
+			f := tc.fakes[site]
+			f.mu.Lock()
+			if f.names[ns] == nil {
+				f.names[ns] = map[uint64]string{}
+			}
+			f.names[ns][item] = fmt.Sprintf("key-%d", item)
+			f.mu.Unlock()
+		}
+	}
+	for i := uint64(1); i <= 40; i++ {
+		name(i)
+	}
+	tc.load(40)
+	round := func() {
+		t.Helper()
+		if rep := tc.g.Round(context.Background()); !rep.Committed {
+			t.Fatalf("round did not commit: %s", rep.Reason)
+		}
+	}
+	round()
+	first := tc.nameCalls()
+	for p := 0; p < parts; p++ {
+		if n := first[PartitionNamespace(p)]; n != 1 {
+			t.Fatalf("first round fetched names for %s %d times, want once: %v", PartitionNamespace(p), n, first)
+		}
+	}
+
+	// Nothing changed: every top item is named by the previous view.
+	tc.endPeriod()
+	round()
+	if got := tc.nameCalls(); !reflect.DeepEqual(got, first) {
+		t.Fatalf("a round with every top item named fetched names: %v, before %v", got, first)
+	}
+	entries, _, _ := tc.g.TopK(100)
+	for _, e := range entries {
+		if e.Key != fmt.Sprintf("key-%d", e.Item) {
+			t.Fatalf("item %d keyed %q after a round without fetches", e.Item, e.Key)
+		}
+	}
+
+	// A new item reaches one partition's top: that partition alone asks.
+	hot := uint64(1000)
+	name(hot)
+	tc.insert(hot, 5)
+	round()
+	first[PartitionNamespace(tc.topo.Partition(hot))]++
+	if got := tc.nameCalls(); !reflect.DeepEqual(got, first) {
+		t.Fatalf("name fetches %v, want %v: one more, for the hot item's partition", got, first)
+	}
+	if st := tc.g.Stats(); st.NameFetches != parts+1 {
+		t.Fatalf("NameFetches = %d, want %d", st.NameFetches, parts+1)
+	}
+	top, _, _ := tc.g.TopK(1)
+	if len(top) != 1 || top[0].Item != hot || top[0].Key != "key-1000" {
+		t.Fatalf("top entry %+v, want item %d named key-1000", top, hot)
 	}
 }

@@ -13,10 +13,13 @@ import (
 // BenchmarkGatherRound times one coordinator round against three
 // in-process nodes on loopback: P = 8 partitions at R = 2 in 64 KiB
 // tenants, loaded with a Network-like trace, the coordinator closing the
-// period on every replica before it fetches, decodes and merges. The
-// replicas agree at every round, as they do under a producer that writes
-// every key to all of them. images/round and KiB/round count the
-// checkpoint images the sites shipped.
+// period on every replica before it fetches, decodes and commits the
+// partition images. The replicas agree at every round, as they do under a
+// producer that writes every key to all of them. images/round and
+// KiB/round count the checkpoint images the sites shipped; names/round
+// counts the top-name requests, which read 0 here: no ingest runs between
+// the timed rounds, so every top item keeps the name the previous view
+// holds.
 func BenchmarkGatherRound(b *testing.B) {
 	const parts, replicas, chunk = 8, 2, 10_000
 	sites, srvs, _, meters := startNodes(b, 64<<10)
@@ -66,6 +69,7 @@ func BenchmarkGatherRound(b *testing.B) {
 		images -= m.images.Load()
 		bytes -= m.bytes.Load()
 	}
+	names := co.gatherer.Stats().NameFetches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := co.GatherNow(ctx); !rep.Committed {
@@ -79,4 +83,5 @@ func BenchmarkGatherRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(images)/float64(b.N), "images/round")
 	b.ReportMetric(float64(bytes)/1024/float64(b.N), "KiB/round")
+	b.ReportMetric(float64(co.gatherer.Stats().NameFetches-names)/float64(b.N), "names/round")
 }

@@ -1,8 +1,8 @@
 // Package coord is the cluster coordinator service behind cmd/sigcoord:
 // it periodically gathers partition checkpoints from a fleet of sigserver
 // nodes over HTTP (via internal/client against the tenant checkpoint
-// route), merges them under the quorum rules of internal/cluster, and
-// serves the committed cluster-wide view.
+// route), commits them under the quorum rules of internal/cluster, and
+// serves the cluster-wide view ranked across every partition's image.
 //
 // Endpoints (all JSON):
 //
@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"sigstream"
 	"sigstream/internal/client"
 	"sigstream/internal/cluster"
 	"sigstream/internal/obs"
@@ -58,7 +59,7 @@ type Config struct {
 	// Breaker bounds each site's circuit breaker.
 	Breaker cluster.BreakerConfig
 	// ResolveNames is the number of top items per partition whose keys
-	// are harvested for display (default 64, negative disables).
+	// the view names (default 64, negative disables).
 	ResolveNames int
 	// ClosePeriods makes the coordinator drive period boundaries: before
 	// each gather it closes the current period of every partition
@@ -303,7 +304,7 @@ func (s *Server) runRound() {
 
 // closePeriods closes the current period of every partition namespace on
 // every replica site, best-effort: a replica that misses a boundary while
-// dead diverges anyway, and the freshest-replica merge rule absorbs it.
+// dead diverges anyway, and the freshest-replica rule absorbs it.
 func (s *Server) closePeriods() {
 	for p := 0; p < s.topo.Partitions(); p++ {
 		ns := cluster.PartitionNamespace(p)
@@ -347,7 +348,9 @@ func (h httpSite) FetchCheckpoint(ctx context.Context, ns, tag string) ([]byte, 
 	return img, err
 }
 
-// FetchNames resolves display keys from the namespace's top list.
+// FetchNames resolves display keys from the namespace's top list. A key
+// that is the item's sigstream.PlaceholderKey is the node saying it holds
+// no name, so it is left out and a later round asks again.
 func (h httpSite) FetchNames(ctx context.Context, ns string, k int) (map[uint64]string, error) {
 	entries, err := h.c.Tenant(ns).TopK(ctx, k)
 	if err != nil {
@@ -355,7 +358,7 @@ func (h httpSite) FetchNames(ctx context.Context, ns string, k int) (map[uint64]
 	}
 	m := make(map[uint64]string, len(entries))
 	for _, e := range entries {
-		if e.Key != "" {
+		if e.Key != "" && e.Key != sigstream.PlaceholderKey(e.Item) {
 			m[e.Item] = e.Key
 		}
 	}
@@ -450,6 +453,7 @@ type statsResponse struct {
 	Fetches          uint64               `json:"fetches"`
 	FetchesUnchanged uint64               `json:"fetches_unchanged"`
 	FetchErrors      uint64               `json:"fetch_errors"`
+	NameFetches      uint64               `json:"name_fetches"`
 	SiteSkips        map[string]uint64    `json:"site_skips"`
 	Breakers         map[string]string    `json:"breakers"`
 	ViewEpoch        int                  `json:"view_epoch"`
@@ -470,6 +474,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Fetches:          st.Fetches,
 		FetchesUnchanged: st.FetchesUnchanged,
 		FetchErrors:      st.FetchErrors,
+		NameFetches:      st.NameFetches,
 		SiteSkips:        st.SiteSkips,
 		Breakers:         make(map[string]string, len(st.BreakerState)),
 		ViewEpoch:        st.ViewEpoch,
@@ -523,6 +528,9 @@ func (s *Server) collectCluster(w *obs.Writer) {
 	w.Counter("sigstream_cluster_fetches_unchanged_total",
 		"Conditional checkpoint fetch attempts a site answered with no image, its partition matching the replica image already fetched.",
 		float64(st.FetchesUnchanged))
+	w.Counter("sigstream_cluster_name_fetches_total",
+		"Top-name requests to a partition's replica, made only when the previous view cannot name one of the partition's top items.",
+		float64(st.NameFetches))
 	w.Gauge("sigstream_cluster_sites",
 		"Member sites in the topology.", float64(st.Sites))
 	w.Gauge("sigstream_cluster_sites_healthy",

@@ -207,7 +207,20 @@ func TestCoordClusterRoundTrip(t *testing.T) {
 func TestCoordClientMirrors(t *testing.T) {
 	f := newFixture(t, 4, 2)
 	f.load(t, 20)
-	f.coord.GatherNow(context.Background())
+	rep := f.coord.GatherNow(context.Background())
+	// The view holds each partition's winning image.
+	viewBytes := 0
+	for _, pr := range rep.Partitions {
+		if pr.MergedFrom == "" {
+			continue
+		}
+		tn, err := f.nodes[pr.MergedFrom].Tenants().Get(pr.Namespace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := tn.TrackerStats()
+		viewBytes += st.MemoryBytes
+	}
 
 	front := httptest.NewServer(f.coord)
 	defer front.Close()
@@ -230,8 +243,8 @@ func TestCoordClientMirrors(t *testing.T) {
 		st.Topology.Replicas != 2 || st.Topology.Quorum != 1 {
 		t.Fatalf("topology: %+v", st.Topology)
 	}
-	if st.View == nil || st.View.Epoch != 1 {
-		t.Fatalf("view info: %+v", st.View)
+	if st.View == nil || st.View.Epoch != 1 || viewBytes == 0 || st.View.MemoryBytes != viewBytes {
+		t.Fatalf("view info: %+v, want epoch 1 holding %d bytes", st.View, viewBytes)
 	}
 	if st.Round == nil || !st.Round.Committed ||
 		len(st.Round.Sites) != 3 || len(st.Round.Partitions) != 4 {
@@ -603,10 +616,11 @@ func TestCoordConditionalFetchKeepsSelection(t *testing.T) {
 					winners = append(winners, best)
 				}
 			}
-			ref, err := sigstream.MergeSharded(winners...)
-			if err != nil {
-				t.Fatal(err)
+			cells := 0
+			for _, w := range winners {
+				cells += w.Cells()
 			}
+			want := sigstream.TopKAcross(cells, winners...)
 
 			var before int64
 			for _, m := range f.meters {
@@ -638,9 +652,7 @@ func TestCoordConditionalFetchKeepsSelection(t *testing.T) {
 					t.Errorf("metrics lack %q", want)
 				}
 			}
-			cells := ref.Stats().Cells
-			want := ref.TopK(cells)
-			got, _, _ := f.coord.TopKView(cells)
+			got, _, _ := f.coord.TopKView(len(want) + 1)
 			if len(got) != len(want) {
 				t.Fatalf("view holds %d entries, the rule's view %d", len(got), len(want))
 			}
@@ -652,5 +664,41 @@ func TestCoordConditionalFetchKeepsSelection(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHTTPSiteFetchNamesSkipsPlaceholders: a node renders an item it holds
+// no name for as a hex placeholder. FetchNames leaves such an item out, so
+// a later round asks again instead of the view keeping the placeholder as
+// the item's name for as long as the item stays on top.
+func TestHTTPSiteFetchNamesSkipsPlaceholders(t *testing.T) {
+	sites, srvs, _, _ := startNodes(t, 32<<10)
+	c := client.New(sites[0], srvs[sites[0]].Client())
+	ctx := context.Background()
+	if _, err := c.Tenant("src").Insert(ctx, "alpha", "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	img, err := c.Tenant("src").Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A restored image carries no names: dst holds alpha's item unnamed.
+	if err := c.Tenant("dst").Restore(ctx, img); err != nil {
+		t.Fatal(err)
+	}
+	site := httpSite{c: c}
+	item := sigstream.HashKey("alpha")
+	names, err := site.FetchNames(ctx, "dst", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, ok := names[item]; ok {
+		t.Fatalf("FetchNames named the restored item %q, want it left out", key)
+	}
+	if _, err := c.Tenant("dst").Insert(ctx, "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if names, err = site.FetchNames(ctx, "dst", 10); err != nil || names[item] != "alpha" {
+		t.Fatalf("after an insert noted the name: %v, %v; want alpha", names, err)
 	}
 }

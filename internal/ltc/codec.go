@@ -29,21 +29,33 @@ var (
 	ErrCheckpointVersion = errors.New("ltc: unsupported checkpoint version")
 )
 
+// imageHeader is the length of a MarshalBinary image before its cells.
+const imageHeader = 4 + 4 + // magic, version
+	8 + 4 + 4 + // memory, w, d
+	8 + 8 + // alpha, beta
+	8 + // items per period
+	1 + // feature flags (DE disabled, adaptive)
+	1 + // replacement policy
+	4 + // seed
+	8 + 8 + // period duration, decay factor
+	8 + 8 + 8 + 1 + // ptr, acc, step, parity
+	8 + 8 + // swept, itemsInPer
+	11*8 // operation counters
+
+// ImageBytes reports the length of the tracker's MarshalBinary image: a
+// fixed header plus 17 bytes per cell. It depends on the geometry only.
+func (l *LTC) ImageBytes() int { return imageHeader + l.m*17 }
+
 // MarshalBinary encodes the full tracker state (options, CLOCK position,
-// every cell). The image is w·d·17 bytes plus a fixed header.
+// every cell) into a buffer of exactly ImageBytes.
 func (l *LTC) MarshalBinary() ([]byte, error) {
-	header := 4 + 4 + // magic, version
-		8 + 4 + 4 + // memory, w, d
-		8 + 8 + // alpha, beta
-		8 + // items per period
-		1 + // feature flags (DE disabled, adaptive)
-		1 + // replacement policy
-		4 + // seed
-		8 + 8 + // period duration, decay factor
-		8 + 8 + 8 + 1 + // ptr, acc, step, parity
-		8 + 8 + // swept, itemsInPer
-		11*8 // operation counters
-	buf := make([]byte, 0, header+l.m*17)
+	return l.AppendBinary(make([]byte, 0, l.ImageBytes())), nil
+}
+
+// AppendBinary appends the MarshalBinary image to buf and returns the
+// extended slice, so a caller encoding several trackers can size one
+// buffer for all of them.
+func (l *LTC) AppendBinary(buf []byte) []byte {
 	le := binary.LittleEndian
 
 	app32 := func(v uint32) { buf = le.AppendUint32(buf, v) }
@@ -97,7 +109,7 @@ func (l *LTC) MarshalBinary() ([]byte, error) {
 		app32(l.counters[i])
 		buf = append(buf, l.flags[i])
 	}
-	return buf, nil
+	return buf
 }
 
 // UnmarshalBinary restores a tracker from a MarshalBinary image. The

@@ -25,6 +25,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(img) != l.ImageBytes() || cap(img) != l.ImageBytes() {
+		t.Fatalf("image of %d bytes in a %d-byte buffer, ImageBytes says %d", len(img), cap(img), l.ImageBytes())
+	}
 	restored := New(Options{MemoryBytes: 1024}) // any shape; rebuilt on load
 	if err := restored.UnmarshalBinary(img); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -323,5 +325,55 @@ func TestChaosWALDiskBounded(t *testing.T) {
 		if !strings.Contains(string(metrics), series) {
 			t.Fatalf("/metrics missing %q:\n%s", series, metrics)
 		}
+	}
+}
+
+// TestCloseRefusesPeriodAndRestore: once Close has begun, the tenant
+// registry refuses every mutation, so a period close or a restore after
+// Close answers 503 instead of a 200 that no log holds, and a new server
+// on the same WAL directory recovers exactly the acknowledged state.
+func TestCloseRefusesPeriodAndRestore(t *testing.T) {
+	base := t.TempDir()
+	a := New(walConfig(base))
+	srvA := httptest.NewServer(a)
+	t.Cleanup(srvA.Close)
+	post(t, srvA.URL+"/v1/insert", distinctWorkload(4)).Body.Close()
+	post(t, srvA.URL+"/v1/period", "").Body.Close()
+	img, err := io.ReadAll(get(t, srvA.URL+"/v1/checkpoint").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := decode[statsResponse](t, get(t, srvA.URL+"/v1/stats"))
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/period", "/v1/t/other/period", "/v1/insert"} {
+		resp := post(t, srvA.URL+path, "late\n")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("POST %s after Close: status %d, want 503", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(srvA.URL+"/v1/restore", "application/octet-stream", bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("restore after Close: status %d, want 503", resp.StatusCode)
+	}
+	after := decode[statsResponse](t, get(t, srvA.URL+"/v1/stats"))
+	if after.Periods != acked.Periods || after.Arrivals != acked.Arrivals {
+		t.Fatalf("after Close the server counts %d periods/%d arrivals, %d/%d were acked",
+			after.Periods, after.Arrivals, acked.Periods, acked.Arrivals)
+	}
+
+	b := New(walConfig(base))
+	srvB := httptest.NewServer(b)
+	t.Cleanup(func() { srvB.Close(); _ = b.Close() })
+	got := decode[statsResponse](t, get(t, srvB.URL+"/v1/stats"))
+	if got.Periods != acked.Periods || got.Arrivals != acked.Arrivals {
+		t.Fatalf("recovered %d periods/%d arrivals, want the acked %d/%d",
+			got.Periods, got.Arrivals, acked.Periods, acked.Arrivals)
 	}
 }

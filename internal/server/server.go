@@ -494,10 +494,12 @@ func (s *Server) SnapshotNow() (string, error) {
 }
 
 // Close shuts the durability and ingestion paths down: the binary
-// listener drains, then one final snapshot of every resident tenant
-// (when StartSnapshots ran) and every WAL closes. The HTTP handlers
-// remain usable for reads; inserts arriving after Close has begun fail
-// with 503, never panic. Close is idempotent and safe under concurrent
+// listener drains, then the tenant registry closes, which refuses every
+// later mutation, takes one final snapshot of every resident tenant (when
+// StartSnapshots ran) and closes every WAL. The HTTP handlers remain
+// usable for reads; an insert, period close or restore refused by the
+// closed registry fails with 503 (a binary frame is acked with an error),
+// never panics. Close is idempotent and safe under concurrent
 // requests — the first call does the work and reports any failure, later
 // calls return nil.
 func (s *Server) Close() error {
@@ -621,13 +623,6 @@ func infoJSON(i tenant.Info) tenantInfoJSON {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
-	// Once Close has begun the final snapshot is taken and the logs
-	// close: refuse with 503 rather than acknowledge a batch that neither
-	// would hold.
-	if s.closed.Load() {
-		httpError(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
 	// The body buffer and batch slices are pooled: a steady producer
 	// stream stops allocating per request, and the parsed key views feed
 	// IngestWire without ever materialising per-key strings (names are

@@ -208,14 +208,18 @@ type Registry struct {
 	logger     *slog.Logger
 	clock      func() time.Time
 
-	// mu guards the tenant map, the residency accounting and the closed
-	// flag. Lock order: Tenant.mu before Registry.mu, never the reverse —
-	// paths that need both collect tenant pointers under mu, release it,
-	// then lock tenants individually.
+	// mu guards the tenant map and the residency accounting. Lock order:
+	// Tenant.mu before Registry.mu, never the reverse — paths that need
+	// both collect tenant pointers under mu, release it, then lock tenants
+	// individually.
 	mu            sync.Mutex
 	tenants       map[string]*Tenant
 	residentBytes int64
-	closed        bool
+	// closed is set, under mu, as Close begins. Registration and loads
+	// check it under mu; tenant mutations check it under the tenant lock,
+	// which Close takes for each tenant's final save, so a mutation is
+	// either refused or in that save.
+	closed atomic.Bool
 
 	spills, revives, quotaDenied atomic.Uint64
 
@@ -359,7 +363,7 @@ func (r *Registry) GetOrCreate(ns string) (*Tenant, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return nil, ErrClosed
 	}
 	if t, ok := r.tenants[ns]; ok {
@@ -386,7 +390,7 @@ func (r *Registry) Pin(ns string, opts PinOptions) (*Tenant, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return nil, ErrClosed
 	}
 	if _, ok := r.tenants[ns]; ok {
@@ -512,7 +516,7 @@ func (r *Registry) Stats() RegistryStats {
 // the registry overcommits (logged) rather than deadlock.
 func (r *Registry) reserve(t *Tenant) error {
 	r.mu.Lock()
-	if r.closed {
+	if r.closed.Load() {
 		r.mu.Unlock()
 		return ErrClosed
 	}
@@ -669,21 +673,6 @@ func (r *Registry) SaveDirty() error {
 	return errors.Join(errs...)
 }
 
-// SaveAll forces one snapshot of every resident tenant, dirty or not —
-// the graceful-drain final checkpoint.
-func (r *Registry) SaveAll() error {
-	var errs []error
-	for _, t := range r.snapshotTenants() {
-		if !t.resident.Load() || t.deleted.Load() {
-			continue
-		}
-		if _, err := t.Save(); err != nil && !errors.Is(err, ErrNotFound) {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Sweep spills every non-pinned tenant untouched for Config.IdleAfter,
 // reporting how many it spilled. A zero IdleAfter or missing spill
 // directory makes it a no-op.
@@ -712,27 +701,36 @@ func (r *Registry) Sweep() int {
 	return n
 }
 
-// Close stops the background goroutine, takes one final snapshot of
-// every resident tenant, closes every log, and rejects further residency
-// changes. Idempotent; every call reports the first close's outcome.
+// Close stops the background goroutine, refuses every later mutation and
+// residency change with ErrClosed, takes one final snapshot of every
+// resident tenant, and closes every log. Reads of resident tenants still
+// answer. Idempotent; every call reports the first close's outcome.
 func (r *Registry) Close() error {
 	r.closeOnce.Do(func() {
 		if r.stop != nil {
 			close(r.stop)
 			<-r.done
 		}
-		err := r.SaveAll()
 		r.mu.Lock()
-		r.closed = true
+		r.closed.Store(true)
 		r.mu.Unlock()
-		// Every log gets a final fsync and close after the last save;
-		// whatever outlived the final snapshot replays on next boot.
+		// Each tenant's final save runs under its write lock: mutations
+		// that passed the closed check have finished, and later ones are
+		// refused, so the snapshot holds every acknowledged mutation. The
+		// log then gets a final fsync and close; whatever outlived the
+		// final snapshot replays on next boot.
+		var errs []error
 		for _, t := range r.snapshotTenants() {
 			t.mu.Lock()
+			if t.resident.Load() && !t.deleted.Load() {
+				if _, err := t.saveRLocked(); err != nil {
+					errs = append(errs, err)
+				}
+			}
 			t.closeWAL()
 			t.mu.Unlock()
 		}
-		r.closeErr = err
+		r.closeErr = errors.Join(errs...)
 	})
 	return r.closeErr
 }

@@ -474,7 +474,8 @@ type WireBatch struct {
 // batch's prune, which keeps the names of items in cells, cannot drop the
 // name of an item this batch is still placing. A successful return means
 // the batch is logged (fsynced, with a WAL) and applied; on error nothing
-// was logged or applied.
+// was logged or applied. Once the registry's Close has begun the batch is
+// refused with ErrClosed.
 func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 	if len(b.Items) == 0 {
 		return 0, nil
@@ -483,6 +484,9 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 		return 0, err
 	}
 	defer t.mu.RUnlock()
+	if t.reg.closed.Load() {
+		return 0, ErrClosed
+	}
 	if !t.pinned && t.reg.cfg.QuotaPerSec > 0 {
 		if retry, ok := t.allow(len(b.Items)); !ok {
 			t.quotaDenials.Add(1)
@@ -522,12 +526,16 @@ func (t *Tenant) IngestWire(b WireBatch) (int, error) {
 // period count. With a WAL the boundary is logged holding the gate
 // exclusively, so no insert can slip between the period record and its
 // tracker effect and replay closes periods at exactly the logged
-// positions.
+// positions. Once the registry's Close has begun the close is refused with
+// ErrClosed.
 func (t *Tenant) EndPeriod() (uint64, error) {
 	if err := t.acquire(); err != nil {
 		return 0, err
 	}
 	defer t.mu.RUnlock()
+	if t.reg.closed.Load() {
+		return 0, ErrClosed
+	}
 	if t.wal != nil {
 		t.walMu.Lock()
 		defer t.walMu.Unlock()
@@ -684,12 +692,17 @@ func (t *Tenant) CheckpointImageIfChanged(tag string) (img []byte, changed bool,
 // untouched. Key names are not part of the image: the names held stay
 // until the next batch's bound drops those of items the restored tracker
 // does not hold, and the image's items that have no name render as hex
-// until a batch notes them.
+// until a batch notes them. Once the registry's Close has begun the
+// restore is refused with ErrClosed.
 func (t *Tenant) RestoreImage(body []byte) error {
 	t.mu.Lock()
 	if t.deleted.Load() {
 		t.mu.Unlock()
 		return ErrNotFound
+	}
+	if t.reg.closed.Load() {
+		t.mu.Unlock()
+		return ErrClosed
 	}
 	if err := t.ensureResidentLocked(); err != nil {
 		t.mu.Unlock()

@@ -48,20 +48,22 @@ type KeyMap struct {
 	stripes [keyStripes]keyStripe
 	n       int // names held, over every stripe
 
+	// spare is the one index and slab pair Bound rebuilds a stripe into;
+	// the swap hands the stripe's old pair back as the spare, so the 16
+	// stripes share one spare rather than each keeping its own.
+	spare keyStripe
+
 	// keep is Bound's visitor, built once in NewKeyMap so a prune hands it
 	// to the walk without allocating; pruning is the stripe it rebuilds.
 	keep    func(Item)
 	pruning int
 }
 
-// keyStripe is one stripe of a KeyMap: the live index and slab, and the
-// spare pair Bound rebuilds into and then swaps in.
+// keyStripe is one stripe of a KeyMap: an index and the slab it locates
+// names in.
 type keyStripe struct {
 	index map[Item]uint64 // item → slab offset<<32 | name length
 	slab  []byte
-
-	spareIndex map[Item]uint64
-	spareSlab  []byte
 }
 
 // at returns the name an index entry locates in the live slab.
@@ -75,10 +77,9 @@ func locate(off, n int) uint64 { return uint64(off)<<32 | uint64(n) }
 
 // NewKeyMap creates an empty KeyMap.
 func NewKeyMap() *KeyMap {
-	m := &KeyMap{}
+	m := &KeyMap{spare: keyStripe{index: make(map[Item]uint64)}}
 	for s := range m.stripes {
 		m.stripes[s].index = make(map[Item]uint64)
-		m.stripes[s].spareIndex = make(map[Item]uint64)
 	}
 	m.keep = m.keepName
 	return m
@@ -129,13 +130,18 @@ func (m *KeyMap) Lookup(item Item) (string, bool) {
 	return string(b), ok
 }
 
-// Name returns the string behind item, or a hex rendering if unknown.
+// Name returns the string behind item, or its PlaceholderKey if unknown.
 func (m *KeyMap) Name(item Item) string {
 	if b, ok := m.name(item); ok {
 		return string(b)
 	}
-	return "0x" + hex64(item)
+	return PlaceholderKey(item)
 }
+
+// PlaceholderKey is the key Name renders for an item it holds no name for:
+// "0x" and the item's 16 lowercase hex digits. A reader of a node's top
+// list compares a key with it to tell a placeholder from a name.
+func PlaceholderKey(item Item) string { return "0x" + hex64(item) }
 
 // Len reports the number of names held.
 func (m *KeyMap) Len() int { return m.n }
@@ -163,8 +169,8 @@ func (m *KeyMap) Range(fn func(item Item, key string) bool) {
 // held and the items walked, so the same stream noted and bounded in the
 // same order leaves the same names however the table was last rebuilt
 // (from a snapshot, after a replay). A walk may yield an item more than
-// once; a rebuild allocates nothing once the stripes' spare buffers have
-// grown to their steady size.
+// once; a rebuild allocates nothing once the buffers it rotates through
+// have grown to their steady size.
 //
 //sig:noalloc
 func (m *KeyMap) Bound(cells int, walk func(visit func(Item))) {
@@ -177,19 +183,17 @@ func (m *KeyMap) Bound(cells int, walk func(visit func(Item))) {
 			}
 		}
 		rebuilt |= 1 << s
-		st := &m.stripes[s]
-		clear(st.spareIndex)
-		st.spareSlab = st.spareSlab[:0]
+		clear(m.spare.index)
+		m.spare.slab = m.spare.slab[:0]
 		m.pruning = s
 		walk(m.keep)
-		m.n += len(st.spareIndex) - len(st.index)
-		st.index, st.spareIndex = st.spareIndex, st.index
-		st.slab, st.spareSlab = st.spareSlab, st.slab
+		m.n += len(m.spare.index) - len(m.stripes[s].index)
+		m.stripes[s], m.spare = m.spare, m.stripes[s]
 	}
 }
 
-// keepName copies item's name into the spare buffers of the stripe Bound
-// is rebuilding, when item belongs to that stripe and has a name.
+// keepName copies item's name into the spare buffers, when item belongs
+// to the stripe Bound is rebuilding and has a name.
 func (m *KeyMap) keepName(item Item) {
 	if stripeOf(item) != m.pruning {
 		return
@@ -199,12 +203,12 @@ func (m *KeyMap) keepName(item Item) {
 	if !ok {
 		return
 	}
-	if _, dup := st.spareIndex[item]; dup {
+	if _, dup := m.spare.index[item]; dup {
 		return
 	}
 	name := st.at(loc)
-	st.spareIndex[item] = locate(len(st.spareSlab), len(name))
-	st.spareSlab = append(st.spareSlab, name...)
+	m.spare.index[item] = locate(len(m.spare.slab), len(name))
+	m.spare.slab = append(m.spare.slab, name...)
 }
 
 func hex64(x uint64) string {

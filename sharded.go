@@ -18,8 +18,7 @@ import (
 //
 // EndPeriod takes all shard locks and must be called by a single
 // coordinator (concurrent Inserts may proceed; they will order either side
-// of the boundary). MergeSharded is the exception to concurrency safety:
-// it takes no locks and is meant for freshly decoded trackers.
+// of the boundary).
 type Sharded struct {
 	shards []shard
 	// scratch pools the partition buffers InsertBatch uses, so the steady
@@ -209,26 +208,41 @@ func (s *Sharded) Query(item Item) (Entry, bool) {
 }
 
 // TopK reports the k globally most significant items — exact with respect
-// to the shards' contents, since each item lives in one shard. Every
-// shard offers its cells to one selection sized by min(k, occupancy),
-// taking each shard lock in turn.
+// to the shards' contents, since each item lives in one shard. It is
+// TopKAcross over this one tracker.
 func (s *Sharded) TopK(k int) []Entry {
+	return TopKAcross(k, s)
+}
+
+// TopKAcross reports the k most significant items held by any shard of any
+// of trackers, ranked as one tracker holding all their cells would rank
+// them. It is exact with respect to the trackers' contents when no item
+// lives in two of them, as with a cluster's partitions, which split the
+// item space the way a Sharded splits it across its shards. The trackers
+// must rank by the same Weights, or their significances do not compare.
+// Every shard offers its cells to one selection sized by min(k, total
+// occupancy), taking each shard lock in turn.
+func TopKAcross(k int, trackers ...*Sharded) []Entry {
 	if k <= 0 {
 		return []Entry{}
 	}
 	occupied := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		occupied += sh.l.Occupancy()
-		sh.mu.Unlock()
+	for _, s := range trackers {
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			occupied += sh.l.Occupancy()
+			sh.mu.Unlock()
+		}
 	}
 	sel := stream.NewSelection(k, occupied)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.l.OfferTo(&sel)
-		sh.mu.Unlock()
+	for _, s := range trackers {
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			sh.l.OfferTo(&sel)
+			sh.mu.Unlock()
+		}
 	}
 	ranked := sel.Ranked()
 	out := make([]Entry, len(ranked))

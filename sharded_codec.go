@@ -19,8 +19,9 @@ var ErrBadShardedCheckpoint = errors.New("sigstream: bad sharded checkpoint")
 // EncodeTo streams a checkpoint of every shard to w, shard by shard, so
 // persistence layers (snapshots, tenant spill envelopes, the WAL restore
 // record) never hold more than one shard's image in memory on top of the
-// writer's own buffering. Safe to call concurrently with Insert. The wire
-// format is identical to MarshalBinary:
+// writer's own buffering. Each shard encodes into one frame buffer reused
+// across shards. Safe to call concurrently with Insert. The wire format is
+// MarshalBinary's:
 //
 //	offset  size  field
 //	0       4     magic "SGSH"
@@ -33,91 +34,81 @@ func (s *Sharded) EncodeTo(w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var lenBuf [4]byte
+	var frame []byte
 	for i := range s.shards {
 		sh := &s.shards[i]
+		if need := 4 + sh.l.ImageBytes(); cap(frame) < need {
+			frame = make([]byte, 0, need)
+		}
 		sh.mu.Lock()
-		img, err := sh.l.MarshalBinary()
+		frame = sh.l.AppendBinary(append(frame[:0], 0, 0, 0, 0))
 		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(img)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(img); err != nil {
+		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+		if _, err := w.Write(frame); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// DecodeFrom restores a Sharded tracker from an EncodeTo stream, reading
-// exactly one checkpoint and nothing past it. The receiver's shard count
-// and contents are replaced. Not safe to call concurrently with other
-// operations. A declared shard size is read incrementally, so a forged
-// multi-gigabyte length fails on the short read instead of driving a
-// matching allocation.
-func (s *Sharded) DecodeFrom(r io.Reader) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header", ErrBadShardedCheckpoint)
-	}
-	if binary.LittleEndian.Uint32(hdr[:]) != shardedMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadShardedCheckpoint)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if n < 1 || n > 1<<16 {
-		return fmt.Errorf("%w: implausible shard count %d", ErrBadShardedCheckpoint, n)
-	}
-	shards := make([]shard, n)
-	var buf bytes.Buffer
-	var lenBuf [4]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return fmt.Errorf("%w: truncated at shard %d", ErrBadShardedCheckpoint, i)
-		}
-		size := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		buf.Reset()
-		if _, err := io.CopyN(&buf, r, size); err != nil {
-			return fmt.Errorf("%w: shard %d overruns image", ErrBadShardedCheckpoint, i)
-		}
-		l := new(ltc.LTC)
-		if err := l.UnmarshalBinary(buf.Bytes()); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		shards[i].l = l
-	}
-	s.shards = shards
 	return nil
 }
 
 // MarshalBinary snapshots every shard into one image
-// (encoding.BinaryMarshaler); a thin wrapper over EncodeTo. Safe to call
-// concurrently with Insert.
+// (encoding.BinaryMarshaler): EncodeTo into a buffer sized up front. Safe
+// to call concurrently with Insert.
 func (s *Sharded) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.EncodeTo(&buf); err != nil {
+	size := 8
+	for i := range s.shards {
+		size += 4 + s.shards[i].l.ImageBytes()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := s.EncodeTo(buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a Sharded tracker from a MarshalBinary image
-// (encoding.BinaryUnmarshaler); a thin wrapper over DecodeFrom that also
-// rejects trailing bytes. Not safe to call concurrently with other
+// UnmarshalBinary restores a Sharded tracker from a MarshalBinary or
+// EncodeTo image (encoding.BinaryUnmarshaler), rejecting trailing bytes.
+// Each shard decodes straight from its slice of data. The shard count and
+// every declared shard length are checked against the bytes left before
+// anything is allocated or sliced, so a forged header fails without
+// driving an allocation. The receiver's shard count and contents are
+// replaced only on success. Not safe to call concurrently with other
 // operations.
 func (s *Sharded) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	var tmp Sharded
-	if err := tmp.DecodeFrom(r); err != nil {
-		return err
+	le := binary.LittleEndian
+	if len(data) < 8 {
+		return fmt.Errorf("%w: short header", ErrBadShardedCheckpoint)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadShardedCheckpoint, r.Len())
+	if le.Uint32(data) != shardedMagic {
+		return fmt.Errorf("%w: bad magic", ErrBadShardedCheckpoint)
 	}
-	s.shards = tmp.shards
+	// Every shard carries at least its 4-byte length.
+	n := int(le.Uint32(data[4:]))
+	if n < 1 || n > 1<<16 || 4*n > len(data)-8 {
+		return fmt.Errorf("%w: implausible shard count %d", ErrBadShardedCheckpoint, n)
+	}
+	rest := data[8:]
+	shards := make([]shard, n)
+	for i := range shards {
+		if len(rest) < 4 {
+			return fmt.Errorf("%w: truncated at shard %d", ErrBadShardedCheckpoint, i)
+		}
+		size := uint64(le.Uint32(rest))
+		rest = rest[4:]
+		if size > uint64(len(rest)) {
+			return fmt.Errorf("%w: shard %d overruns image", ErrBadShardedCheckpoint, i)
+		}
+		l := new(ltc.LTC)
+		if err := l.UnmarshalBinary(rest[:size]); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		shards[i].l = l
+		rest = rest[size:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadShardedCheckpoint, len(rest))
+	}
+	s.shards = shards
 	return nil
 }
 

@@ -95,6 +95,59 @@ func TestShardedTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestTopKAcrossMatchesFullSort ranks three trackers of 1, 3 and 8
+// shards, holding disjoint items, with one selection: the result must be
+// every cell of every shard sorted in the module's order, cut at k.
+func TestTopKAcrossMatchesFullSort(t *testing.T) {
+	items := gen.NetworkLike(1<<16, 3)
+	trackers := []*Sharded{
+		NewSharded(Config{MemoryBytes: 16 << 10, Weights: Balanced}, 1),
+		NewSharded(Config{MemoryBytes: 16 << 10, Weights: Balanced}, 3),
+		NewSharded(Config{MemoryBytes: 16 << 10, Weights: Balanced}, 8),
+	}
+	split := make([][]Item, len(trackers))
+	for i, it := range items.Items {
+		p := it % uint64(len(trackers))
+		split[p] = append(split[p], it)
+		if (i+1)%items.ItemsPerPeriod() == 0 {
+			for p, tr := range trackers {
+				tr.InsertBatch(split[p])
+				tr.EndPeriod()
+				split[p] = split[p][:0]
+			}
+		}
+	}
+	var all []stream.Entry
+	for _, tr := range trackers {
+		for i := range tr.shards {
+			l := tr.shards[i].l
+			all = append(all, l.TopK(l.Occupancy())...)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Significance != all[j].Significance {
+			return all[i].Significance > all[j].Significance
+		}
+		return all[i].Item < all[j].Item
+	})
+	occ := len(all)
+	for _, k := range []int{0, 1, 1000, occ - 1, occ, occ + 1} {
+		got := TopKAcross(k, trackers...)
+		want := all[:min(max(k, 0), occ)]
+		if len(got) != len(want) {
+			t.Fatalf("TopKAcross(%d) returned %d entries, want %d", k, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != publicEntry(want[i]) {
+				t.Fatalf("TopKAcross(%d) entry %d = %+v, want %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+	if got := TopKAcross(10); len(got) != 0 {
+		t.Fatalf("TopKAcross over no trackers = %+v, want empty", got)
+	}
+}
+
 func TestShardedConcurrentInserts(t *testing.T) {
 	s := NewSharded(Config{MemoryBytes: 128 << 10, Weights: Balanced}, 4)
 	var wg sync.WaitGroup
