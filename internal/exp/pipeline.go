@@ -32,7 +32,7 @@ func PipelineSweep(sc Scale) Result {
 
 		sync := sigstream.NewSharded(cfg, shards)
 		t0 := time.Now()
-		replayBatches(s, batch, sync.InsertBatch, sync.EndPeriod)
+		s.ReplayBatchFunc(batch, sync.InsertBatch, sync.EndPeriod)
 		el := time.Since(t0)
 		rows = append(rows, Row{Figure: "pipe", Dataset: s.Label, Series: "sync",
 			X: x, Metric: "Mops", Value: float64(s.Len()) / el.Seconds() / 1e6})
@@ -40,7 +40,7 @@ func PipelineSweep(sc Scale) Result {
 		piped := sigstream.NewSharded(cfg, shards)
 		in := piped.Pipeline(sigstream.PipelineOptions{})
 		t0 = time.Now()
-		replayBatches(s, batch, func(sub []stream.Item) {
+		s.ReplayBatchFunc(batch, func(sub []stream.Item) {
 			_ = in.Submit(sub)
 		}, func() {
 			_ = in.Flush()
@@ -55,31 +55,4 @@ func PipelineSweep(sc Scale) Result {
 	return Result{Figure: "pipe", Title: "Pipelined vs synchronous sharded ingestion",
 		PaperNote: "beyond the paper: asynchronous sharded front-end, single producer",
 		Rows:      rows, Elapsed: time.Since(start)}
-}
-
-// replayBatches feeds the stream in batches of up to batch items that
-// never span a period boundary, invoking endPeriod at each boundary —
-// the cadence of stream.ReplayBatch, generalized over a function pair.
-func replayBatches(s *stream.Stream, batch int, apply func([]stream.Item), endPeriod func()) {
-	per := s.ItemsPerPeriod()
-	fed := 0
-	for off := 0; off < len(s.Items); {
-		n := batch
-		if rem := per - fed; n > rem {
-			n = rem
-		}
-		if rem := len(s.Items) - off; n > rem {
-			n = rem
-		}
-		apply(s.Items[off : off+n])
-		off += n
-		fed += n
-		if fed == per {
-			endPeriod()
-			fed = 0
-		}
-	}
-	if fed != 0 {
-		endPeriod()
-	}
 }

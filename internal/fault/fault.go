@@ -25,11 +25,13 @@ type Point string
 // The injection points wired into the tree. Adding a point is free for
 // production code: an inactive Inject is a single atomic load.
 const (
-	// PipelineSink fires in a pipeline worker immediately before the
-	// shard's sink is applied; a panicking hook simulates a crashing sink.
+	// PipelineSink fires in a Sharded.Pipeline worker immediately before
+	// it applies a sub-batch to its shard; a panicking hook simulates a
+	// tracker panic, which poisons the pipeline.
 	PipelineSink Point = "pipeline/sink"
-	// PipelineSlow fires in a pipeline worker before each sub-batch; a
-	// sleeping hook simulates a slow shard backing traffic up its ring.
+	// PipelineSlow fires in a Sharded.Pipeline worker before each
+	// sub-batch, ahead of the poison check; a sleeping or blocking hook
+	// simulates a slow shard backing traffic up its ring.
 	PipelineSlow Point = "pipeline/slow"
 	// SnapshotWrite fires before a snapshot frame is written; an erroring
 	// hook makes the write tear (half the frame header reaches the temp

@@ -152,6 +152,14 @@ func (s *Stream) Replay(t Tracker) {
 // has one. Batches never span a period boundary, so the result matches
 // Replay exactly for any conforming BatchInserter.
 func (s *Stream) ReplayBatch(t Tracker, batch int) {
+	s.ReplayBatchFunc(batch, func(items []Item) { InsertBatch(t, items) }, t.EndPeriod)
+}
+
+// ReplayBatchFunc is ReplayBatch over a function pair: it passes the
+// stream to apply in batches of up to batch items (batch ≤ 0 selects 256)
+// that never span a period boundary, and calls endPeriod at each boundary,
+// including after the final period.
+func (s *Stream) ReplayBatchFunc(batch int, apply func([]Item), endPeriod func()) {
 	if batch <= 0 {
 		batch = 256
 	}
@@ -165,16 +173,16 @@ func (s *Stream) ReplayBatch(t Tracker, batch int) {
 		if rem := len(s.Items) - off; n > rem {
 			n = rem
 		}
-		InsertBatch(t, s.Items[off:off+n])
+		apply(s.Items[off : off+n])
 		off += n
 		fed += n
 		if fed == per {
-			t.EndPeriod()
+			endPeriod()
 			fed = 0
 		}
 	}
 	if fed != 0 {
-		t.EndPeriod()
+		endPeriod()
 	}
 }
 

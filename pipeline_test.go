@@ -1,6 +1,7 @@
 package sigstream
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -129,6 +130,201 @@ func TestPipelineRestart(t *testing.T) {
 	}
 	if got := tr.Stats().Arrivals; got != 1000 {
 		t.Fatalf("arrivals = %d, want 1000", got)
+	}
+}
+
+// TestPipelineSubmitCopiesTheBatch checks Submit copies the caller's
+// slice: the workers are held until the caller has overwritten it, and
+// the tracker still sees the submitted values, through the single-shard
+// path and through the partition.
+func TestPipelineSubmitCopiesTheBatch(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tr := NewSharded(Config{MemoryBytes: 32 << 10, Weights: Balanced,
+				ItemsPerPeriod: 1000}, shards)
+			p := tr.Pipeline(PipelineOptions{})
+			t.Cleanup(func() { _ = p.Close() })
+			release := gateShards(t, func(int) bool { return true })
+			batch := []Item{1, 2, 3}
+			if err := p.Submit(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch[0], batch[1], batch[2] = 9, 9, 9 // caller reuses its slice immediately
+			release()
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range []Item{1, 2, 3} {
+				if e, ok := tr.Query(it); !ok || e.Frequency != 1 {
+					t.Errorf("item %d: %+v (found %v), want frequency 1", it, e, ok)
+				}
+			}
+			if _, ok := tr.Query(9); ok {
+				t.Error("the tracker saw the caller's overwrite of a submitted batch")
+			}
+		})
+	}
+}
+
+// TestPipelineCloseSemantics checks Close drains the rings and is
+// idempotent, and that Submit — empty or not — and Flush report
+// ErrPipelineClosed after it.
+func TestPipelineCloseSemantics(t *testing.T) {
+	tr := NewSharded(Config{MemoryBytes: 32 << 10, Weights: Balanced,
+		ItemsPerPeriod: 1000}, 4)
+	p := tr.Pipeline(PipelineOptions{})
+	if err := p.Submit(seqItems(0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Stats().Arrivals; got != 100 {
+		t.Fatalf("Close did not drain: arrivals = %d, want 100", got)
+	}
+	if err := p.Submit([]Item{3}); !errors.Is(err, ErrPipelineClosed) {
+		t.Errorf("Submit after Close = %v, want ErrPipelineClosed", err)
+	}
+	if err := p.Submit(nil); !errors.Is(err, ErrPipelineClosed) {
+		t.Errorf("empty Submit after Close = %v, want ErrPipelineClosed", err)
+	}
+	if err := p.Flush(); !errors.Is(err, ErrPipelineClosed) {
+		t.Errorf("Flush after Close = %v, want ErrPipelineClosed", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// TestPipelinePreservesPerShardOrder checks each worker applies its
+// shard's items in submission order across many small batches. Every item
+// arrives once into a tracker too small to hold them, so which items it
+// keeps depends on the order: the pipelined tracker must match one fed
+// item by item, and one fed the same items in reverse must not (else the
+// match would prove nothing).
+func TestPipelinePreservesPerShardOrder(t *testing.T) {
+	const shards, n = 3, 1000
+	cfg := Config{MemoryBytes: 3 << 10, Weights: Balanced, ItemsPerPeriod: n}
+	items := seqItems(0, n)
+	tr := NewSharded(cfg, shards)
+	p := tr.Pipeline(PipelineOptions{RingSize: 2})
+	t.Cleanup(func() { _ = p.Close() })
+	for off := 0; off < n; off += 10 {
+		if err := p.Submit(items[off : off+10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	inOrder, reversed := NewSharded(cfg, shards), NewSharded(cfg, shards)
+	for i := range items {
+		inOrder.Insert(items[i])
+		reversed.Insert(items[n-1-i])
+	}
+	orderSensitive := false
+	for _, it := range items {
+		e, ok := tr.Query(it)
+		if we, wok := inOrder.Query(it); e != we || ok != wok {
+			t.Fatalf("Query(%d) = %+v/%v, want %+v/%v as fed in order", it, e, ok, we, wok)
+		}
+		if re, rok := reversed.Query(it); e != re || ok != rok {
+			orderSensitive = true
+		}
+	}
+	if !orderSensitive {
+		t.Fatal("reversing each shard's items changed no estimate: the check cannot see order")
+	}
+	if st := p.Stats(); st.Items != n || st.Flushes != 1 {
+		t.Fatalf("Stats = %+v, want Items %d and Flushes 1", st, n)
+	}
+}
+
+// TestPipelineBackpressureStallsAndRecovers holds the one shard's lock, as
+// a long direct call on the tracker would, so its worker blocks: Submits
+// fill the one-deep ring and then stall the producer (counted in Stalls)
+// until the lock is released, after which every item is applied.
+func TestPipelineBackpressureStallsAndRecovers(t *testing.T) {
+	const batches = 16
+	tr := NewSharded(Config{MemoryBytes: 32 << 10, Weights: Balanced,
+		ItemsPerPeriod: 1000}, 1)
+	p := tr.Pipeline(PipelineOptions{RingSize: 1})
+	t.Cleanup(func() { _ = p.Close() })
+	tr.shards[0].mu.Lock()
+	unlock := sync.OnceFunc(tr.shards[0].mu.Unlock)
+	t.Cleanup(unlock) // runs before Close, which waits for the worker
+
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < batches && err == nil; i++ {
+			err = p.Submit([]Item{Item(i)})
+		}
+		done <- err
+	}()
+	waitFor(t, "the producer to stall on the full ring", func() bool { return p.Stats().Stalls > 0 })
+	select {
+	case err := <-done:
+		t.Fatalf("%d submits into a 1-deep ring behind a blocked worker returned early (err=%v)",
+			batches, err)
+	default:
+	}
+	unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Stats().Arrivals; got != batches {
+		t.Fatalf("worker applied %d arrivals, want %d", got, batches)
+	}
+}
+
+// TestPipelineConcurrentProducers submits from many producers in full and
+// partial batches while Flush and Stats run alongside them; Close must
+// leave every submitted item applied.
+func TestPipelineConcurrentProducers(t *testing.T) {
+	const producers, perProducer = 8, 2000
+	tr := NewSharded(Config{MemoryBytes: 64 << 10, Weights: Balanced,
+		ItemsPerPeriod: 1 << 14}, 4)
+	p := tr.Pipeline(PipelineOptions{RingSize: 4})
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]Item, 0, 64)
+			for i := 0; i < perProducer; i++ {
+				batch = append(batch, Item(g*perProducer+i))
+				if len(batch) == cap(batch) {
+					if err := p.Submit(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					batch = batch[:0]
+				}
+			}
+			if err := p.Submit(batch); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	for i := 0; i < 10; i++ {
+		if err := p.Flush(); err != nil {
+			t.Error(err)
+		}
+		_ = p.Stats()
+	}
+	wg.Wait()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Stats().Arrivals; got != producers*perProducer {
+		t.Fatalf("arrivals = %d, want %d", got, producers*perProducer)
+	}
+	if got := p.Stats().Items; got != producers*perProducer {
+		t.Fatalf("pipeline accepted %d items, want %d", got, producers*perProducer)
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 // of the boundary).
 type Sharded struct {
 	shards []shard
-	// scratch pools the partition buffers InsertBatch uses, so the steady
-	// state hot path allocates nothing.
+	// scratch pools the partition buffers of InsertBatch and
+	// Pipeline.Submit, so the steady-state hot path allocates nothing.
 	scratch sync.Pool
 }
 
-// batchScratch is the reusable working memory of one InsertBatch call.
+// batchScratch is the reusable working memory of one partition.
 type batchScratch struct {
 	owner  []uint32 // owning shard of each batch item (hash computed once)
 	counts []int
@@ -94,8 +94,24 @@ func NewSharded(cfg Config, n int) *Sharded {
 // Shards reports the number of shards.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
+// shardOf maps item to the one shard of n that owns it. Every path into a
+// Sharded — Insert, Query, InsertBatch, Pipeline.Submit — chooses through
+// it, so all arrivals of an item land in one shard.
+func shardOf(item Item, n int) int {
+	return int(hashing.Mix64(item) % uint64(n))
+}
+
 func (s *Sharded) owner(item Item) *shard {
-	return &s.shards[hashing.Mix64(item)%uint64(len(s.shards))]
+	return &s.shards[shardOf(item, len(s.shards))]
+}
+
+// insertBatch applies items to the shard under its lock. The unlock is
+// deferred so a tracker panic, which a Pipeline worker recovers, does not
+// leave the shard locked.
+func (sh *shard) insertBatch(items []Item) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.l.InsertBatch(items)
 }
 
 // Insert records one arrival. Safe for concurrent use.
@@ -113,7 +129,7 @@ func (s *Sharded) Insert(item Item) {
 // insertion. Safe for concurrent use, but a batch is not atomic: a
 // concurrent EndPeriod may fall between two shards' sub-batches, splitting
 // the batch across the boundary (just as it can split per-item inserts).
-// The steady state is allocation-free: counting-sort scratch is pooled and
+// The steady state is allocation-free: partition scratch is pooled and
 // only grows inside getScratch.
 //
 //sig:noalloc
@@ -121,25 +137,34 @@ func (s *Sharded) InsertBatch(items []Item) {
 	if len(items) == 0 {
 		return
 	}
-	n := uint64(len(s.shards))
-	if n == 1 {
-		sh := &s.shards[0]
-		sh.mu.Lock()
-		sh.l.InsertBatch(items)
-		sh.mu.Unlock()
+	if len(s.shards) == 1 {
+		s.shards[0].insertBatch(items)
 		return
 	}
+	b := s.partition(items)
+	for i, c := range b.counts {
+		if c > 0 {
+			s.shards[i].insertBatch(b.run(i))
+		}
+	}
+	s.scratch.Put(b)
+}
+
+// partition groups items by owning shard in pooled scratch, a counting
+// sort: one pass hashes each item and sizes the runs, one scatters the
+// items into contiguous runs. b.run(i) is shard i's run in arrival order.
+// The caller returns b to s.scratch once it is done with the runs.
+//
+//sig:noalloc
+func (s *Sharded) partition(items []Item) *batchScratch {
+	n := len(s.shards)
 	b := s.getScratch(len(items), n)
 	owner, sorted := b.owner[:len(items)], b.sorted[:len(items)]
 	counts, next := b.counts[:n], b.next[:n]
-	// Counting sort by shard: one pass to hash and size the runs, one to
-	// scatter into contiguous per-shard sub-batches.
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	for i, it := range items {
-		sh := uint32(hashing.Mix64(it) % n)
-		owner[i] = sh
+		sh := shardOf(it, n)
+		owner[i] = uint32(sh)
 		counts[sh]++
 	}
 	sum := 0
@@ -152,25 +177,21 @@ func (s *Sharded) InsertBatch(items []Item) {
 		sorted[next[sh]] = it
 		next[sh]++
 	}
-	start := 0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.l.InsertBatch(sorted[start : start+c])
-		sh.mu.Unlock()
-		start += c
-	}
-	s.scratch.Put(b)
+	b.sorted, b.counts, b.next = sorted, counts, next
+	return b
 }
 
-// getScratch returns pooled counting-sort scratch with room for items
+// run returns shard i's run of the last partition: the scatter left
+// next[i] at the end of that run.
+func (b *batchScratch) run(i int) []Item {
+	return b.sorted[b.next[i]-b.counts[i] : b.next[i]]
+}
+
+// getScratch returns pooled partition scratch with room for items
 // arrivals across n shards. Lane growth happens here — on pool miss or a
-// larger batch than any seen before — keeping the steady-state InsertBatch
-// path allocation-free.
-func (s *Sharded) getScratch(items int, n uint64) *batchScratch {
+// larger batch than any seen before — keeping the steady-state partition
+// allocation-free.
+func (s *Sharded) getScratch(items, n int) *batchScratch {
 	b, _ := s.scratch.Get().(*batchScratch)
 	if b == nil {
 		b = &batchScratch{}
@@ -181,7 +202,7 @@ func (s *Sharded) getScratch(items int, n uint64) *batchScratch {
 	if cap(b.sorted) < items {
 		b.sorted = make([]Item, items)
 	}
-	if cap(b.counts) < int(n) {
+	if cap(b.counts) < n {
 		b.counts = make([]int, n)
 		b.next = make([]int, n)
 	}
